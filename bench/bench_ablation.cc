@@ -35,8 +35,8 @@ Cost Measure(const std::string& source, const PipelineOptions& options, unsigned
   limits.max_paths = 120000;
   limits.max_seconds = 10;
   SymexResult result = Analyze(compiled, "umain", bytes, limits);
-  return Cost{result.paths_completed, result.instructions, result.solver.queries,
-              result.exhausted};
+  return Cost{result.paths_completed, result.instructions,
+              result.metrics.Get(Counter::kSolverQueries), result.exhausted};
 }
 
 }  // namespace

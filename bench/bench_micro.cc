@@ -28,39 +28,50 @@ void BM_ExprInterning(benchmark::State& state) {
 }
 BENCHMARK(BM_ExprInterning);
 
+// Attaches one registry counter to a benchmark's output under `key`.
+void Report(benchmark::State& state, const char* key, const MetricsShard& m, Counter c) {
+  state.counters[key] = static_cast<double>(m.Get(c));
+}
+
 // Attaches the solver chain's fast-path counters to a benchmark's output so
 // runs double as an observability check on the new hot paths.
 // The preprocessing/prefix-cache effectiveness counters recorded in the
 // BENCH_symex.json snapshot (run_benches.sh picks these up by name).
-void ReportPreprocessStats(benchmark::State& state, const SolverStats& stats) {
-  state.counters["presolve_shortcuts"] = static_cast<double>(stats.presolve_shortcuts);
-  state.counters["prefix_subset_hits"] = static_cast<double>(stats.prefix_subset_hits);
-  state.counters["prefix_superset_hits"] = static_cast<double>(stats.prefix_superset_hits);
-  state.counters["prefix_model_hits"] = static_cast<double>(stats.prefix_model_hits);
-  state.counters["preprocess_bindings"] = static_cast<double>(stats.preprocess_bindings);
-  state.counters["preprocess_tautologies"] =
-      static_cast<double>(stats.preprocess_tautologies);
+void ReportPreprocessStats(benchmark::State& state, const MetricsShard& m) {
+  Report(state, "presolve_shortcuts", m, Counter::kPresolveShortcuts);
+  Report(state, "prefix_subset_hits", m, Counter::kPrefixSubsetHits);
+  Report(state, "prefix_superset_hits", m, Counter::kPrefixSupersetHits);
+  Report(state, "prefix_model_hits", m, Counter::kPrefixModelHits);
+  Report(state, "preprocess_bindings", m, Counter::kPreprocessBindings);
+  Report(state, "preprocess_tautologies", m, Counter::kPreprocessTautologies);
 }
 
 // The learning core's search counters (docs/solver.md). Single-threaded
 // exhaustive runs make every one of these deterministic, so run_benches.sh
 // --check gates them exactly alongside `paths`.
-void ReportCoreSearchStats(benchmark::State& state, const SolverStats& stats) {
-  state.counters["core_candidates"] = static_cast<double>(stats.core_candidates);
-  state.counters["core_conflicts"] = static_cast<double>(stats.core_conflicts);
-  state.counters["core_learned"] = static_cast<double>(stats.core_learned);
-  state.counters["core_backjumps"] = static_cast<double>(stats.core_backjumps);
-  state.counters["core_restarts"] = static_cast<double>(stats.core_restarts);
+void ReportCoreSearchStats(benchmark::State& state, const MetricsShard& m) {
+  Report(state, "core_candidates", m, Counter::kSolverCoreCandidates);
+  Report(state, "core_conflicts", m, Counter::kSolverCoreConflicts);
+  Report(state, "core_learned", m, Counter::kSolverCoreLearned);
+  Report(state, "core_backjumps", m, Counter::kSolverCoreBackjumps);
+  Report(state, "core_restarts", m, Counter::kSolverCoreRestarts);
 }
 
-void ReportSolverStats(benchmark::State& state, const SolverStats& stats) {
-  state.counters["cache_hits"] = static_cast<double>(stats.cache_hits);
-  state.counters["reuse_hits"] = static_cast<double>(stats.reuse_hits);
-  state.counters["eval_memo_hits"] = static_cast<double>(stats.eval_memo_hits);
-  state.counters["interval_memo_hits"] = static_cast<double>(stats.interval_memo_hits);
-  state.counters["independence_drops"] = static_cast<double>(stats.independence_drops);
-  state.counters["cex_evictions"] = static_cast<double>(stats.cex_evictions);
-  ReportPreprocessStats(state, stats);
+// The exploration benches' solver-traffic summary.
+void ReportQueryStats(benchmark::State& state, const MetricsShard& m) {
+  Report(state, "solver_queries", m, Counter::kSolverQueries);
+  Report(state, "eval_memo_hits", m, Counter::kSolverEvalMemoHits);
+  Report(state, "independence_drops", m, Counter::kSolverIndependenceDrops);
+}
+
+void ReportChainStats(benchmark::State& state, const MetricsShard& m) {
+  Report(state, "cache_hits", m, Counter::kSolverCacheHits);
+  Report(state, "reuse_hits", m, Counter::kSolverReuseHits);
+  Report(state, "eval_memo_hits", m, Counter::kSolverEvalMemoHits);
+  Report(state, "interval_memo_hits", m, Counter::kSolverIntervalMemoHits);
+  Report(state, "independence_drops", m, Counter::kSolverIndependenceDrops);
+  Report(state, "prefix_evictions", m, Counter::kPrefixEvictions);
+  ReportPreprocessStats(state, m);
 }
 
 // Macro-run latency/effectiveness summary from the run's metrics registry
@@ -94,7 +105,7 @@ void BM_SolverSingleByteQuery(benchmark::State& state) {
                                    ctx.Constant(11 + (round++ % 200), 8));
     benchmark::DoNotOptimize(chain.MayBeTrue(path, cond, nullptr));
   }
-  ReportSolverStats(state, chain.stats());
+  ReportChainStats(state, chain.metrics());
 }
 BENCHMARK(BM_SolverSingleByteQuery);
 
@@ -163,11 +174,9 @@ void BM_ExploreWcAtOverify(benchmark::State& state) {
     benchmark::DoNotOptimize(last.paths_completed);
   }
   state.counters["paths"] = static_cast<double>(last.paths_completed);
-  state.counters["solver_queries"] = static_cast<double>(last.solver.queries);
-  state.counters["eval_memo_hits"] = static_cast<double>(last.solver.eval_memo_hits);
-  state.counters["independence_drops"] = static_cast<double>(last.solver.independence_drops);
-  ReportCoreSearchStats(state, last.solver);
-  ReportPreprocessStats(state, last.solver);
+  ReportQueryStats(state, last.metrics);
+  ReportCoreSearchStats(state, last.metrics);
+  ReportPreprocessStats(state, last.metrics);
   ReportLatencyStats(state, last);
 }
 BENCHMARK(BM_ExploreWcAtOverify);
@@ -185,11 +194,9 @@ void BM_ExploreWcAtO3(benchmark::State& state) {
     benchmark::DoNotOptimize(last.paths_completed);
   }
   state.counters["paths"] = static_cast<double>(last.paths_completed);
-  state.counters["solver_queries"] = static_cast<double>(last.solver.queries);
-  state.counters["eval_memo_hits"] = static_cast<double>(last.solver.eval_memo_hits);
-  state.counters["independence_drops"] = static_cast<double>(last.solver.independence_drops);
-  ReportCoreSearchStats(state, last.solver);
-  ReportPreprocessStats(state, last.solver);
+  ReportQueryStats(state, last.metrics);
+  ReportCoreSearchStats(state, last.metrics);
+  ReportPreprocessStats(state, last.metrics);
   ReportLatencyStats(state, last);
 }
 BENCHMARK(BM_ExploreWcAtO3);
@@ -230,7 +237,7 @@ void BM_ExploreWcWarmPersist(benchmark::State& state) {
   const double core_queries =
       static_cast<double>(last.metrics.Get(Counter::kSolverCoreQueries));
   state.counters["paths"] = static_cast<double>(last.paths_completed);
-  state.counters["solver_queries"] = static_cast<double>(last.solver.queries);
+  Report(state, "solver_queries", last.metrics, Counter::kSolverQueries);
   state.counters["persist_seeded"] =
       static_cast<double>(last.metrics.Get(Counter::kPersistSeeded));
   state.counters["persist_hits"] = hits;
@@ -274,9 +281,7 @@ void RunExploreWorkload(benchmark::State& state, const char* name, OptLevel leve
     benchmark::DoNotOptimize(last.paths_completed);
   }
   state.counters["paths"] = static_cast<double>(last.paths_completed);
-  state.counters["solver_queries"] = static_cast<double>(last.solver.queries);
-  state.counters["eval_memo_hits"] = static_cast<double>(last.solver.eval_memo_hits);
-  state.counters["independence_drops"] = static_cast<double>(last.solver.independence_drops);
+  ReportQueryStats(state, last.metrics);
   if (slice) {
     // Slice-mode effectiveness (docs/slicing.md): deterministic, gated
     // exactly by run_benches.sh --check like paths and the core-search
@@ -294,8 +299,8 @@ void RunExploreWorkload(benchmark::State& state, const char* name, OptLevel leve
                                 static_cast<double>(ratio.count())
                           : 0.0;
   }
-  ReportCoreSearchStats(state, last.solver);
-  ReportPreprocessStats(state, last.solver);
+  ReportCoreSearchStats(state, last.metrics);
+  ReportPreprocessStats(state, last.metrics);
   ReportLatencyStats(state, last);
 }
 
@@ -326,9 +331,8 @@ void BM_ExploreSumBlockSliceAtOverify(benchmark::State& state) {
 BENCHMARK(BM_ExploreSumBlockSliceAtOverify);
 
 void ReportStealStats(benchmark::State& state, const SymexResult& result) {
-  state.counters["steals"] = static_cast<double>(result.steals);
-  state.counters["steal_batches"] = static_cast<double>(result.steal_batches);
-  state.counters["steal_reintern"] = static_cast<double>(result.steal_reintern);
+  Report(state, "steals", result.metrics, Counter::kSteals);
+  Report(state, "steal_batches", result.metrics, Counter::kStealBatches);
 }
 
 void BM_ParallelExploreWc(benchmark::State& state) {
@@ -352,21 +356,15 @@ void BM_ParallelExploreWc(benchmark::State& state) {
 BENCHMARK(BM_ParallelExploreWc)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // The steal-heavy variant: 4 workers fed from one root, so workers 1-3
-// bootstrap (and keep re-balancing) entirely through the steal path. Run
-// once with the default shared interner — batch steals, no re-intern;
-// `steal_reintern` must report 0 — and once with the legacy per-worker
-// interners, which pay an ExprTranslator pass per stolen state. The wall
-// gap between the two entries in BENCH_symex.json is the steal path's
-// constant factor; it exists even on a single-core host (the re-intern
-// burns CPU regardless of parallelism).
-void RunParallelWcVariant(benchmark::State& state, bool shared_interner) {
+// bootstrap (and keep re-balancing) entirely through the steal path —
+// batch steals over the shared interner, stolen states run as-is.
+void BM_ParallelExploreWcSteal(benchmark::State& state) {
   Compiler compiler;
   CompileResult compiled = compiler.Compile(WcListing1(), OptLevel::kO3);
   SymexLimits limits;
   limits.max_seconds = 60;
   SymexOptions options;
   options.jobs = 4;
-  options.shared_interner = shared_interner;
   SymexResult last;
   for (auto _ : state) {
     last = Analyze(compiled, "umain", 6, limits, options);
@@ -376,16 +374,7 @@ void RunParallelWcVariant(benchmark::State& state, bool shared_interner) {
   state.counters["workers"] = static_cast<double>(last.workers);
   ReportStealStats(state, last);
 }
-
-void BM_ParallelExploreWcSteal(benchmark::State& state) {
-  RunParallelWcVariant(state, /*shared_interner=*/true);
-}
 BENCHMARK(BM_ParallelExploreWcSteal)->UseRealTime();
-
-void BM_ParallelExploreWcStealReintern(benchmark::State& state) {
-  RunParallelWcVariant(state, /*shared_interner=*/false);
-}
-BENCHMARK(BM_ParallelExploreWcStealReintern)->UseRealTime();
 
 }  // namespace
 

@@ -28,7 +28,7 @@ uint64_t VerifyCost(CompileResult& compiled, unsigned bytes) {
   limits.max_paths = 200000;
   limits.max_seconds = 20;
   SymexResult result = Analyze(compiled, "umain", bytes, limits);
-  return result.instructions + 10 * result.solver.queries;
+  return result.instructions + 10 * result.metrics.Get(Counter::kSolverQueries);
 }
 
 uint64_t ExecCost(CompileResult& compiled, const std::string& input) {

@@ -67,7 +67,8 @@ int main() {
               static_cast<unsigned long long>(verify_result.paths_completed),
               verify_result.exhausted ? "yes" : "no",
               static_cast<unsigned long long>(verify_result.instructions),
-              static_cast<unsigned long long>(verify_result.solver.queries),
+              static_cast<unsigned long long>(
+                  verify_result.metrics.Get(Counter::kSolverQueries)),
               verify_result.wall_seconds * 1e3);
 
   // 4. The same exploration against the -O0 build (capped — it explodes).

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/cache/persist.h"
-#include "src/sched/translate.h"
 #include "src/support/string_utils.h"
 #include "src/support/trace.h"
 #include "src/symex/engine_core.h"
@@ -16,11 +15,9 @@
 namespace overify {
 namespace sched {
 
-// One worker's queue: a strategy-ordered searcher behind a mutex. In the
-// shared-interner configuration states flow between queues freely; in the
-// legacy configuration states in queue i always reference worker i's
-// ExprContext — a stolen state is re-interned by the thief before it is
-// pushed anywhere else.
+// One worker's queue: a strategy-ordered searcher behind a mutex. Every
+// worker builds into the run's one interner, so states flow between queues
+// freely.
 //
 // Queues persist across Run()s on the same pool; BeginRun rebinds the
 // run's shared counters and resets the searcher, which is what clears the
@@ -158,7 +155,6 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
   if (jobs == 0) {
     jobs = std::max(1u, std::thread::hardware_concurrency());
   }
-  SearchStrategy strategy = EffectiveStrategy(options_);
 
   // Pre-stamp every defined function's local-slot numbering so no engine
   // writes to the (otherwise immutable, shared) IR once workers run.
@@ -182,17 +178,14 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
           std::chrono::duration<double>(std::min(limits.max_seconds, 86400.0 * 365)));
 
   // One shared, lock-striped interner per multi-worker run: every worker's
-  // ExprContext builds into it, so stolen states run anywhere without a
-  // re-intern pass. A single worker (or the legacy A/B configuration)
-  // keeps private per-worker interners, which elide the shard locks. A warm
-  // interner from a long-lived host (the daemon) takes precedence over
-  // both: the run interns into it, so repeated runs of the same module skip
-  // rebuilding the expression DAG.
+  // ExprContext builds into it, so stolen states run anywhere as-is. A
+  // single worker keeps a private interner, which elides the shard locks
+  // (nothing is ever stolen from it). A warm interner from a long-lived
+  // host (the daemon) takes precedence over both: the run interns into it,
+  // so repeated runs of the same module skip rebuilding the expression DAG.
   ExprInterner* run_interner = options_.warm_interner;
-  const bool share_interner =
-      run_interner != nullptr || (options_.shared_interner && jobs > 1);
   std::unique_ptr<ExprInterner> interner;
-  if (run_interner == nullptr && share_interner) {
+  if (run_interner == nullptr && jobs > 1) {
     interner = std::make_unique<ExprInterner>(/*concurrent=*/true);
     run_interner = interner.get();
   }
@@ -205,7 +198,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
     queues_.reserve(jobs);
     for (unsigned w = 0; w < jobs; ++w) {
       queues_.push_back(std::make_unique<WorkerQueue>(
-          strategy, HashMix64(options_.search_seed ^ (uint64_t{w} + 1))));
+          options_.strategy, HashMix64(options_.search_seed ^ (uint64_t{w} + 1))));
     }
   }
   OVERIFY_ASSERT(queues_.size() == jobs, "worker count changed across Run()s");
@@ -229,6 +222,10 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
   for (unsigned w = 0; w < jobs; ++w) {
     engines.push_back(std::make_unique<EngineCore>(module_, options_, shared, slots,
                                                    num_input_bytes, w, run_interner));
+    // The invariant that lets stolen states skip any translation: whenever
+    // the run has an interner, every engine's context builds into it.
+    OVERIFY_ASSERT(run_interner == nullptr || &engines[w]->ctx().interner() == run_interner,
+                   "worker context must build into the run's interner");
     engines[w]->set_trace(trace_sink != nullptr ? trace_sink->buffer(w) : nullptr);
     queues_[w]->BeginRun(shared);
   }
@@ -285,26 +282,12 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
       }
       tm.Inc(Counter::kStealBatches);
       tm.Add(Counter::kSteals, batch.size());
-      if (share_interner) {
-        for (auto& state : batch) {
-          // Every expression the state references lives in the shared
-          // interner — nothing to translate. The preprocessing summary's
-          // contents stay valid too; only its interval-memo handle is tied
-          // to the victim context's generation counter, so detach that.
-          state->solver_prefix.interval_memo_generation = 0;
-          if (options_.validate_steals) {
-            ValidateStateInterned(*state, *run_interner);
-          }
-        }
-      } else {
-        // Legacy per-worker interners: re-intern the whole batch into the
-        // thief's context. One translator for the batch — all states came
-        // from the same victim context, so shared subgraphs translate once.
-        ExprTranslator translator(thief_engine.ctx());
-        for (auto& state : batch) {
-          TranslateState(*state, translator);
-          tm.Inc(Counter::kStealReintern);
-        }
+      for (auto& state : batch) {
+        // Every expression the state references lives in the shared
+        // interner — nothing to translate. The preprocessing summary's
+        // contents stay valid too; only its interval-memo handle is tied to
+        // the victim context's generation counter, so detach that.
+        state->solver_prefix.interval_memo_generation = 0;
       }
       if (timed) {
         const uint64_t t1 = MetricsNowNs();
@@ -431,7 +414,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
   // the raw draw fires accumulated from the per-worker injector stats.
   result.metrics.Set(Counter::kFaultWorkerDeaths,
                      shared.worker_deaths.load(std::memory_order_relaxed));
-  // Fills every legacy counter field from the registry and asserts the
+  // Fills the determinism-contract fields from the registry and asserts the
   // unknown-cause and terminated-cause sum invariants in one place.
   result.FinalizeFromMetrics();
   // Exhausted means every path actually ran to its end — not merely "no
@@ -443,7 +426,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
                      result.paths_unknown == 0;
   result.stop_cause = static_cast<StopCause>(shared.stop_cause.load(std::memory_order_relaxed));
   if (!result.exhausted && result.stop_cause == StopCause::kNone &&
-      result.faults.worker_deaths > 0) {
+      result.metrics.Get(Counter::kFaultWorkerDeaths) > 0) {
     // No limit latched the stop, but injected deaths left states behind.
     result.stop_cause = StopCause::kWorkerDeath;
   }

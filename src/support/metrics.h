@@ -62,7 +62,6 @@ namespace overify {
   X(kSolverIndependenceDrops, "solver.independence_drops", false) \
   X(kSolverEvalMemoHits, "solver.eval_memo_hits", false)      \
   X(kSolverIntervalMemoHits, "solver.interval_memo_hits", false) \
-  X(kSolverCexEvictions, "solver.cex_evictions", false)       \
   X(kSolverUnknownBudget, "solver.unknown_budget", false)     \
   X(kSolverUnknownDeadline, "solver.unknown_deadline", false) \
   X(kSolverUnknownCancelled, "solver.unknown_cancelled", false) \
@@ -76,6 +75,7 @@ namespace overify {
   X(kPrefixSupersetHits, "prefix.superset_hits", false)       \
   X(kPrefixModelHits, "prefix.model_hits", false)             \
   X(kPrefixCollisions, "prefix.collisions", false)            \
+  X(kPrefixEvictions, "prefix.evictions", false)              \
   X(kPersistSeeded, "persist.seeded", false)                  \
   X(kPersistHits, "persist.hits", false)                      \
   X(kPersistValidations, "persist.validations", false)        \
@@ -87,7 +87,6 @@ namespace overify {
   X(kDaemonStoreRejects, "daemon.store_rejects", false)       \
   X(kSteals, "steal.states", false)                           \
   X(kStealBatches, "steal.batches", false)                    \
-  X(kStealReintern, "steal.reintern", false)                  \
   X(kFaultSolverUnknown, "fault.solver_unknown", false)       \
   X(kFaultCacheLookup, "fault.cache_lookup", false)           \
   X(kFaultStealBatch, "fault.steal_batch", false)             \

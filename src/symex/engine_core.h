@@ -141,8 +141,8 @@ class EngineCore {
   // (WorkerPool::Run does this) — engines only read it. `interner`, when
   // non-null, is the run's shared lock-striped expression interner: the
   // engine's ExprContext builds into it instead of a private one, which is
-  // what lets stolen states run on any worker without re-interning
-  // (docs/scheduler.md). Null keeps the legacy private interner.
+  // what lets stolen states run on any worker as-is (docs/scheduler.md).
+  // Null keeps a single-worker private interner.
   EngineCore(Module& module, const SymexOptions& options, SharedCounters& shared,
              LocalSlotCache& slots, unsigned num_input_bytes, unsigned worker_index,
              ExprInterner* interner = nullptr);
@@ -168,7 +168,6 @@ class EngineCore {
   // the pool wires one per worker when a trace path is configured).
   void set_trace(TraceBuffer* trace);
   TraceBuffer* trace();
-  const SolverStats& solver_stats() const;
   // This worker's solver chain, exposed for cross-run persistence: the pool
   // seeds it from the CacheStore's run blob before exploration and harvests
   // its counterexample cache afterwards (src/cache/persist.h).

@@ -18,37 +18,6 @@ void SymexResult::FinalizeFromMetrics() {
   paths_unknown_injected = m.Get(Counter::kPathsUnknownInjected);
   instructions = m.Get(Counter::kInstructions);
   forks = m.Get(Counter::kForks);
-  annotation_hits = m.Get(Counter::kAnnotationHits);
-  steals = m.Get(Counter::kSteals);
-  steal_batches = m.Get(Counter::kStealBatches);
-  steal_reintern = m.Get(Counter::kStealReintern);
-  faults.solver_unknown = m.Get(Counter::kFaultSolverUnknown);
-  faults.cache_lookup = m.Get(Counter::kFaultCacheLookup);
-  faults.steal_batch = m.Get(Counter::kFaultStealBatch);
-  faults.worker_stalls = m.Get(Counter::kFaultWorkerStalls);
-  faults.worker_deaths = m.Get(Counter::kFaultWorkerDeaths);
-  faults.draws = m.Get(Counter::kFaultDraws);
-  solver.queries = m.Get(Counter::kSolverQueries);
-  solver.cache_hits = m.Get(Counter::kSolverCacheHits);
-  solver.reuse_hits = m.Get(Counter::kSolverReuseHits);
-  solver.core_queries = m.Get(Counter::kSolverCoreQueries);
-  solver.core_candidates = m.Get(Counter::kSolverCoreCandidates);
-  solver.independence_drops = m.Get(Counter::kSolverIndependenceDrops);
-  solver.eval_memo_hits = m.Get(Counter::kSolverEvalMemoHits);
-  solver.interval_memo_hits = m.Get(Counter::kSolverIntervalMemoHits);
-  solver.cex_evictions = m.Get(Counter::kSolverCexEvictions);
-  solver.preprocess_bindings = m.Get(Counter::kPreprocessBindings);
-  solver.preprocess_substitutions = m.Get(Counter::kPreprocessSubstitutions);
-  solver.preprocess_tautologies = m.Get(Counter::kPreprocessTautologies);
-  solver.preprocess_contradictions = m.Get(Counter::kPreprocessContradictions);
-  solver.presolve_shortcuts = m.Get(Counter::kPresolveShortcuts);
-  solver.prefix_subset_hits = m.Get(Counter::kPrefixSubsetHits);
-  solver.prefix_superset_hits = m.Get(Counter::kPrefixSupersetHits);
-  solver.prefix_model_hits = m.Get(Counter::kPrefixModelHits);
-  solver.unknown_budget = m.Get(Counter::kSolverUnknownBudget);
-  solver.unknown_deadline = m.Get(Counter::kSolverUnknownDeadline);
-  solver.unknown_cancelled = m.Get(Counter::kSolverUnknownCancelled);
-  solver.unknown_injected = m.Get(Counter::kSolverUnknownInjected);
 
   // The accounting invariants, asserted in this one place for every run
   // (docs/robustness.md): each unknown path carries exactly one cause, and

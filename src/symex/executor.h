@@ -7,10 +7,10 @@
 //
 // Exploration is scheduled by the src/sched/ subsystem: a pluggable
 // Searcher orders pending states and a work-stealing WorkerPool fans them
-// out over `jobs` workers, each with a private ExprContext and solver
-// (states are re-interned on steal). Results are aggregated in canonical
-// order, so bug sets and verdicts are identical for 1..N workers on
-// exhausted runs — see docs/scheduler.md.
+// out over `jobs` workers, each with its own solver and an ExprContext view
+// of one shared interner (stolen states run as-is). Results are aggregated
+// in canonical order, so bug sets and verdicts are identical for 1..N
+// workers on exhausted runs — see docs/scheduler.md.
 #pragma once
 
 #include <cstdint>
@@ -100,34 +100,23 @@ struct SymexResult {
   uint64_t paths_unknown_injected = 0;  // FaultInjector kSolverUnknown
   uint64_t instructions = 0;
   uint64_t forks = 0;
-  uint64_t annotation_hits = 0;  // branch decisions settled by annotations
   // Which limit latched the stop flag first (kNone when the run drained
   // naturally; kWorkerDeath when only injected deaths cut it short).
   StopCause stop_cause = StopCause::kNone;
-  // Injected-fault fires (zero unless SymexOptions::faults enabled them).
-  // Schedule-dependent across workers, so excluded from the determinism
-  // contract like the steal counters below.
-  FaultStats faults;
-  // Work-stealing traffic (scheduling-dependent, unlike the counts above:
-  // these vary run to run and are excluded from the determinism contract).
-  uint64_t steals = 0;          // states that migrated to another worker
-  uint64_t steal_batches = 0;   // steal operations that yielded work
-  uint64_t steal_reintern = 0;  // stolen states that needed a re-intern pass
-                                // (0 whenever the shared interner is on)
   double wall_seconds = 0;
   unsigned workers = 1;  // worker threads that ran the search
   std::vector<BugReport> bugs;
-  SolverStats solver;
   // The merged metrics registry for the run: every counter above plus the
-  // latency histograms (src/support/metrics.h). Single source of truth —
-  // the flat fields and `solver`/`faults` views are filled from it by
-  // FinalizeFromMetrics (docs/observability.md).
+  // solver, steal, fault and annotation counters and the latency
+  // histograms (src/support/metrics.h). Single source of truth — the flat
+  // fields above are filled from it by FinalizeFromMetrics; everything else
+  // is read with metrics.Get (docs/observability.md).
   MetricsShard metrics;
 
-  // Fills every legacy counter field (paths_*, instructions, forks, steal
-  // and fault counts, the SolverStats view) from `metrics`, and asserts the
-  // accounting invariants — unknown-cause and terminated-cause sums — in
-  // this one place. The pool calls it once after merging worker shards.
+  // Fills the determinism-contract fields (paths_*, instructions, forks)
+  // from `metrics`, and asserts the accounting invariants — unknown-cause
+  // and terminated-cause sums — in this one place. The pool calls it once
+  // after merging worker shards.
   void FinalizeFromMetrics();
 
   bool FoundBug(BugKind kind) const {
@@ -159,16 +148,6 @@ struct SymexOptions {
   // identical either way — learning only prunes candidates the search
   // would have refuted one by one.
   bool solver_learning = true;
-  // Multi-worker runs share one sharded, lock-striped expression interner,
-  // so stolen states run on the thief without a re-intern pass
-  // (docs/scheduler.md). Off restores the legacy per-worker interners with
-  // ExprTranslator on every steal — kept for A/B comparisons and the
-  // translation tests; results are identical either way.
-  bool shared_interner = true;
-  // Debug: with the shared interner, walk every stolen state and assert
-  // each of its expressions is owned by the shared interner (the
-  // validation-only residue of the old re-intern pass; slow).
-  bool validate_steals = false;
   // Seed for the random-path strategy (worker index is mixed in per worker).
   uint64_t search_seed = 0x05e11a11;
   // Deterministic fault injection (src/support/fault.h). Disabled by
@@ -206,19 +185,7 @@ struct SymexOptions {
   // fresh one, so repeated runs of the same module skip re-construction of
   // the expression DAG. Must be a concurrent interner when jobs > 1.
   ExprInterner* warm_interner = nullptr;
-  // DEPRECATED: pre-scheduler search toggle, kept so existing callers
-  // compile unchanged. Read only through EffectiveStrategy(): setting it to
-  // false selects BFS unless `strategy` was set explicitly.
-  bool depth_first = true;
 };
-
-// Resolves the deprecated `depth_first` shim against `strategy`.
-inline SearchStrategy EffectiveStrategy(const SymexOptions& options) {
-  if (options.strategy == SearchStrategy::kDfs && !options.depth_first) {
-    return SearchStrategy::kBfs;
-  }
-  return options.strategy;
-}
 
 class SymbolicExecutor {
  public:

@@ -193,22 +193,6 @@ size_t ExprInterner::NumExprs() const {
   return total;
 }
 
-bool ExprInterner::Owns(const Expr* e) const {
-  Shard& shard = ShardFor(e->hash());
-  std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-  if (concurrent_) {
-    lock.lock();
-  }
-  size_t idx = e->hash() & shard.mask;
-  while (shard.table[idx] != nullptr) {
-    if (shard.table[idx] == e) {
-      return true;
-    }
-    idx = (idx + 1) & shard.mask;
-  }
-  return false;
-}
-
 ExprContext::ExprContext() : ExprContext(static_cast<ExprInterner*>(nullptr)) {}
 
 ExprContext::ExprContext(ExprInterner& shared) : ExprContext(&shared) {}

@@ -269,8 +269,8 @@ class Expr {
 // A private interner (concurrent == false, the ExprContext default) elides
 // the locks entirely and matches the old single-table perf; the scheduler
 // builds one concurrent interner per multi-worker run and hands every
-// worker's ExprContext a reference, which is what lets stolen states skip
-// the re-intern pass (docs/scheduler.md).
+// worker's ExprContext a reference, which is what lets stolen states run on
+// any worker as-is (docs/scheduler.md).
 class ExprInterner {
  public:
   // The structural identity of one node; what the tables are keyed by.
@@ -300,10 +300,6 @@ class ExprInterner {
   // Total interned expressions (sums the shards; takes the shard locks when
   // concurrent, so the count is exact).
   size_t NumExprs() const;
-
-  // True iff `e` is one of this interner's nodes — the steal-validation
-  // walk's primitive (src/sched/translate.h). Probes only e's home shard.
-  bool Owns(const Expr* e) const;
 
   bool concurrent() const { return concurrent_; }
 
@@ -335,8 +331,8 @@ class ExprInterner {
   Shard& ShardFor(uint64_t hash) const { return shards_[(hash >> 60) & shard_mask_]; }
 
   // unique_ptr<Shard[]>: shards hold a mutex (immovable), and the count is
-  // fixed at construction. Mutexes are taken from const readers (NumExprs,
-  // Owns) when the interner is concurrent.
+  // fixed at construction. Mutexes are taken from const readers (NumExprs)
+  // when the interner is concurrent.
   std::unique_ptr<Shard[]> shards_;
   size_t shard_mask_ = 0;  // shard count - 1
   std::atomic<uint64_t> next_id_{0};
@@ -383,16 +379,11 @@ class ExprContext {
   std::vector<const Expr*> ToBytes(const Expr* e);
   const Expr* FromBytes(const std::vector<const Expr*>& bytes);
 
-  // Re-interns one node from another context. `a`/`b`/`c` are `src`'s
-  // children already translated into this context (null where absent). The
-  // source node is canonical — built by an identical builder whose
-  // canonical orderings are structural-hash-based and therefore
-  // context-independent — so the structure is copied bit-for-bit without
-  // re-simplification, and hash-consing restores pointer identity for
-  // already-present nodes. Used by the scheduler's legacy
-  // (per-worker-interner) work-stealing re-intern pass
-  // (src/sched/translate.h); the default shared-interner configuration
-  // never needs it.
+  // Interns a copy of `src`'s node shape (kind, width, extract offset) over
+  // the children `a`/`b`/`c` (null where absent), bit-for-bit, without
+  // re-simplification; hash-consing returns the existing node when one is
+  // already present. Rebuild uses it for the trapping constant pairs the
+  // builders reject.
   const Expr* ImportNode(const Expr* src, const Expr* a, const Expr* b, const Expr* c);
 
   // Rebuilds one node with replacement children through the canonicalizing

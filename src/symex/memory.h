@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -56,23 +55,6 @@ class AddressSpace {
   ObjectState& Write(uint64_t object_id);
 
   size_t NumObjects() const { return meta_.size(); }
-
-  // Replaces every object's contents with a fresh, unshared copy whose
-  // bytes are rewritten through `fn`. Used when a state migrates to another
-  // worker's ExprContext: the old contents may still be shared
-  // (copy-on-write) with sibling states on the original worker, so they are
-  // never mutated in place.
-  void RewriteContents(const std::function<const Expr*(const Expr*)>& fn);
-
-  // Read-only visit of every object's byte expressions (the scheduler's
-  // steal-validation walk).
-  void ForEachByte(const std::function<void(const Expr*)>& fn) const {
-    for (const auto& [id, state] : contents_) {
-      for (uint64_t i = 0; i < state->size(); ++i) {
-        fn(state->Byte(i));
-      }
-    }
-  }
 
  private:
   // Hash maps: object ids are dense and lookups sit on the engine's

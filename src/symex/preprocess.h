@@ -30,10 +30,10 @@
 namespace overify {
 
 // Incremental per-path preprocessing summary, owned by the ExecState whose
-// constraints it summarizes. All Expr pointers belong to the context that
-// produced the constraints, so a state migrating between contexts (the
-// scheduler's work-stealing re-intern pass) must Clear() the summary; it is
-// a pure cache and is rebuilt on the next query.
+// constraints it summarizes. Its Expr pointers live in the run's interner,
+// so a stolen state keeps it; only `interval_memo_generation`, which is
+// tied to the producing context, is detached on steal. It is a pure cache
+// and is rebuilt on the next query after a Clear().
 struct PathPrefix {
   // Leading path constraints already folded into the summary.
   size_t consumed = 0;

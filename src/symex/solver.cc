@@ -1503,46 +1503,13 @@ void SolverChain::SyncMetrics() const {
   SyncCoreCounters();
   m.Set(Counter::kSolverEvalMemoHits, ctx_.eval_memo_hits());
   m.Set(Counter::kSolverIntervalMemoHits, ctx_.interval_memo_hits());
-  m.Set(Counter::kSolverCexEvictions, cache_.evictions());
+  m.Set(Counter::kPrefixEvictions, cache_.evictions());
   m.Set(Counter::kPrefixCollisions, cache_.collisions());
   const PreprocessStats& pp = preprocessor_.stats();
   m.Set(Counter::kPreprocessBindings, pp.bindings);
   m.Set(Counter::kPreprocessSubstitutions, pp.substitutions);
   m.Set(Counter::kPreprocessTautologies, pp.tautologies);
   m.Set(Counter::kPreprocessContradictions, pp.contradictions);
-}
-
-const SolverStats& SolverChain::stats() const {
-  SyncMetrics();
-  const MetricsShard& m = *metrics_;
-  SolverStats& s = stats_;
-  s.queries = m.Get(Counter::kSolverQueries);
-  s.cache_hits = m.Get(Counter::kSolverCacheHits);
-  s.reuse_hits = m.Get(Counter::kSolverReuseHits);
-  s.core_queries = m.Get(Counter::kSolverCoreQueries);
-  s.core_candidates = m.Get(Counter::kSolverCoreCandidates);
-  s.independence_drops = m.Get(Counter::kSolverIndependenceDrops);
-  s.eval_memo_hits = m.Get(Counter::kSolverEvalMemoHits);
-  s.interval_memo_hits = m.Get(Counter::kSolverIntervalMemoHits);
-  s.cex_evictions = m.Get(Counter::kSolverCexEvictions);
-  s.preprocess_bindings = m.Get(Counter::kPreprocessBindings);
-  s.preprocess_substitutions = m.Get(Counter::kPreprocessSubstitutions);
-  s.preprocess_tautologies = m.Get(Counter::kPreprocessTautologies);
-  s.preprocess_contradictions = m.Get(Counter::kPreprocessContradictions);
-  s.presolve_shortcuts = m.Get(Counter::kPresolveShortcuts);
-  s.prefix_subset_hits = m.Get(Counter::kPrefixSubsetHits);
-  s.prefix_superset_hits = m.Get(Counter::kPrefixSupersetHits);
-  s.prefix_model_hits = m.Get(Counter::kPrefixModelHits);
-  s.unknown_budget = m.Get(Counter::kSolverUnknownBudget);
-  s.unknown_deadline = m.Get(Counter::kSolverUnknownDeadline);
-  s.unknown_cancelled = m.Get(Counter::kSolverUnknownCancelled);
-  s.unknown_injected = m.Get(Counter::kSolverUnknownInjected);
-  s.core_conflicts = m.Get(Counter::kSolverCoreConflicts);
-  s.core_learned = m.Get(Counter::kSolverCoreLearned);
-  s.core_learned_hits = m.Get(Counter::kSolverCoreLearnedHits);
-  s.core_backjumps = m.Get(Counter::kSolverCoreBackjumps);
-  s.core_restarts = m.Get(Counter::kSolverCoreRestarts);
-  return stats_;
 }
 
 void SolverChain::SeedPersistedEntry(std::vector<uint64_t> keys, uint64_t set_hash,

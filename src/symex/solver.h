@@ -68,47 +68,6 @@ struct QueryControl {
   double query_seconds = 0;                          // wall budget per query; 0 = none
 };
 
-// Legacy flat view of the solver's slice of the metrics registry
-// (src/support/metrics.h). The registry's MetricsShard is the single source
-// of truth — SolverChain::stats() assembles this struct from it on read —
-// but the named fields stay because every bench harness and test reads
-// them.
-struct SolverStats {
-  uint64_t queries = 0;            // top-level CheckSat calls
-  uint64_t cache_hits = 0;         // answered by the counterexample cache
-  uint64_t reuse_hits = 0;         // answered by re-evaluating a recent model
-  uint64_t core_queries = 0;       // reached the core search
-  uint64_t core_candidates = 0;    // candidate byte values tried in the core
-  uint64_t independence_drops = 0; // constraints filtered out as independent
-  // Fast-path counters added with the hash-consing refactor.
-  uint64_t eval_memo_hits = 0;      // inline eval-memo hits (ExprContext)
-  uint64_t interval_memo_hits = 0;  // inline interval-memo hits (ExprContext)
-  uint64_t cex_evictions = 0;       // counterexample-cache entries evicted
-  // Constraint-preprocessing counters (src/symex/preprocess.h).
-  uint64_t preprocess_bindings = 0;        // byte-equality facts discovered
-  uint64_t preprocess_substitutions = 0;   // constraints rewritten by substitution
-  uint64_t preprocess_tautologies = 0;     // constraints dropped as implied
-  uint64_t preprocess_contradictions = 0;  // sets refuted before any search
-  uint64_t presolve_shortcuts = 0;  // queries answered by substitution/ranges alone
-  // Prefix-cache (UBTree) hit counters.
-  uint64_t prefix_subset_hits = 0;    // UNSAT via a cached subset
-  uint64_t prefix_superset_hits = 0;  // SAT via a cached superset's model
-  uint64_t prefix_model_hits = 0;     // SAT by extending a cached subset's model
-  // kUnknown verdicts by cause (docs/robustness.md). kUnknown results are
-  // never inserted into any cache, so a degraded query cannot poison a
-  // later exact answer.
-  uint64_t unknown_budget = 0;    // per-query candidate or wall budget
-  uint64_t unknown_deadline = 0;  // run deadline expired mid-query
-  uint64_t unknown_cancelled = 0; // stop latch tripped mid-query
-  uint64_t unknown_injected = 0;  // FaultInjector kSolverUnknown
-  // CDCL counters (docs/solver.md).
-  uint64_t core_conflicts = 0;     // candidate assignments refuted in the core
-  uint64_t core_learned = 0;       // nogood clauses added to a clause store
-  uint64_t core_learned_hits = 0;  // candidates pruned by a stored clause
-  uint64_t core_backjumps = 0;     // non-chronological jumps (>= 1 level skipped)
-  uint64_t core_restarts = 0;      // Luby-scheduled search restarts
-};
-
 // A learned nogood: "no model of the constraint set assigns every
 // (symbol, value) pair below simultaneously". Literals are keyed by symbol
 // index (not decision level) and sorted ascending by symbol, so a clause
@@ -392,20 +351,24 @@ class SolverChain {
   // termination.
   UnknownCause last_unknown_cause() const { return last_unknown_cause_; }
 
-  const SolverStats& stats() const;
-
   // Redirects all counters and histograms into `metrics` (the engine passes
   // its per-worker shard so pool aggregation is one registry merge). Must be
   // installed before the first query. The default private shard keeps
   // histogram timing OFF — a bare chain's cache-hit fast path is ~100ns and
   // must not pay for clock reads; engine shards opt in.
   void set_metrics(MetricsShard* metrics) { metrics_ = metrics; }
-  MetricsShard& metrics() { return *metrics_; }
 
   // Flushes subsystem-owned totals (ExprContext memo hits, preprocessor
-  // stats, cache evictions) into the shard. Called by stats() and by the
+  // stats, cache evictions) into the shard. Called by metrics() and by the
   // pool before merging shards.
   void SyncMetrics() const;
+
+  // The chain's counters and histograms, synced first so subsystem-owned
+  // totals (eval memo, preprocessing, evictions) read current.
+  const MetricsShard& metrics() const {
+    SyncMetrics();
+    return *metrics_;
+  }
 
   // Structured trace spans for queries/lookups/core searches; null (the
   // default) disables tracing at the cost of one cold-pointer branch.
@@ -465,8 +428,6 @@ class SolverChain {
   MetricsShard own_metrics_;
   MetricsShard* metrics_ = &own_metrics_;
   TraceBuffer* trace_ = nullptr;
-  // Scratch for stats(): the legacy flat view assembled from the shard.
-  mutable SolverStats stats_;
 
   // Counterexample cache: exact, subset, and superset reuse over canonical
   // constraint sets (see PrefixCache above). Bounded FIFO as before.

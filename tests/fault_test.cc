@@ -255,7 +255,7 @@ TEST(WorkerFailureTest, RunSurvivesWorkerDeathsBitIdentically) {
 
   ASSERT_TRUE(faulted.exhausted)
       << "with a guaranteed survivor the run must still exhaust";
-  EXPECT_LE(faulted.faults.worker_deaths, 3u);
+  EXPECT_LE(faulted.metrics.Get(Counter::kFaultWorkerDeaths), 3u);
   ExpectIdenticalRuns(clean, faulted, "worker-death recovery");
 }
 
@@ -274,7 +274,7 @@ TEST(WorkerFailureTest, AllWorkersDyingDegradesWithAttribution) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_FALSE(result.exhausted);
   EXPECT_GT(result.paths_unexplored, 0u);
-  EXPECT_GE(result.faults.worker_deaths, 1u);
+  EXPECT_GE(result.metrics.Get(Counter::kFaultWorkerDeaths), 1u);
   EXPECT_EQ(result.stop_cause, StopCause::kWorkerDeath) << StopCauseName(result.stop_cause);
 }
 

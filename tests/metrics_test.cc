@@ -172,7 +172,7 @@ TEST(MetricsShardTest, RenderTableShowsNonZeroCountersAndHists) {
   EXPECT_NE(table.find("7"), std::string::npos) << table;
   EXPECT_NE(table.find(HistName(Hist::kSolverQueryNs)), std::string::npos) << table;
   // Zero counters stay out of the default rendering.
-  EXPECT_EQ(table.find(CounterName(Counter::kStealReintern)), std::string::npos) << table;
+  EXPECT_EQ(table.find(CounterName(Counter::kFaultDraws)), std::string::npos) << table;
 }
 
 // ---- Engine-level properties ----
@@ -217,21 +217,18 @@ TEST(MetricsEngineTest, MergedDeterministicCountersIdenticalAcrossWorkerCounts) 
   }
 }
 
-TEST(MetricsEngineTest, LegacyViewsMatchRegistry) {
+TEST(MetricsEngineTest, ContractFieldsMatchRegistry) {
   CompileResult m = CompileWc();
   SymexResult r = RunWithJobs(m, 2);
   ASSERT_TRUE(r.ok);
-  // FinalizeFromMetrics filled every legacy field from the registry; spot
-  // checks across the counter families.
+  // FinalizeFromMetrics filled the determinism-contract fields from the
+  // registry.
   EXPECT_EQ(r.paths_completed, r.metrics.Get(Counter::kPathsCompleted));
   EXPECT_EQ(r.instructions, r.metrics.Get(Counter::kInstructions));
   EXPECT_EQ(r.forks, r.metrics.Get(Counter::kForks));
-  EXPECT_EQ(r.solver.queries, r.metrics.Get(Counter::kSolverQueries));
-  EXPECT_EQ(r.solver.presolve_shortcuts, r.metrics.Get(Counter::kPresolveShortcuts));
-  EXPECT_EQ(r.steals, r.metrics.Get(Counter::kSteals));
   EXPECT_EQ(r.paths_terminated, r.paths_infeasible + r.paths_bug + r.paths_limit +
                                     r.paths_unexplored + r.paths_unknown);
-  EXPECT_GT(r.solver.queries, 0u);
+  EXPECT_GT(r.metrics.Get(Counter::kSolverQueries), 0u);
 }
 
 TEST(MetricsEngineTest, TimingOnRecordsLatencies) {
@@ -239,7 +236,7 @@ TEST(MetricsEngineTest, TimingOnRecordsLatencies) {
   SymexResult r = RunWithJobs(m, 1);  // metrics_timing defaults on
   ASSERT_TRUE(r.ok);
   const LatencyHistogram& h = r.metrics.hist(Hist::kSolverQueryNs);
-  EXPECT_EQ(h.count(), r.solver.queries);
+  EXPECT_EQ(h.count(), r.metrics.Get(Counter::kSolverQueries));
   EXPECT_GT(h.P95(), 0u);
   EXPECT_GE(h.max_ns(), h.P50());
   EXPECT_GT(r.metrics.hist(Hist::kPathRunNs).count(), 0u);
@@ -257,7 +254,7 @@ TEST(MetricsEngineTest, TimingOffLeavesHistogramsEmptyAndCountersIntact) {
   }
   SymexResult on = RunWithJobs(m, 1);
   EXPECT_EQ(off.paths_completed, on.paths_completed);
-  EXPECT_EQ(off.solver.queries, on.solver.queries);
+  EXPECT_EQ(off.metrics.Get(Counter::kSolverQueries), on.metrics.Get(Counter::kSolverQueries));
   EXPECT_EQ(off.instructions, on.instructions);
 }
 

@@ -102,6 +102,29 @@ TEST(PortableHash, CreationOrderInvariance) {
   EXPECT_EQ(ProbeFingerprint(a), ProbeFingerprint(b));
 }
 
+TEST(PortableHash, CanonicalModelsAreContextIndependent) {
+  // A persisted SAT model is replayed in another process's context, so the
+  // canonical model must be a pure function of structure, not of the
+  // interner or the order nodes were created in.
+  ExprContext a;
+  ExprContext b;
+  b.Constant(77, 32);  // shift B's ids
+  auto build = [](ExprContext& ctx) {
+    const Expr* sum = ctx.Binary(ExprKind::kAdd, ctx.ZExt(ctx.Symbol(0), 32),
+                                 ctx.ZExt(ctx.Symbol(1), 32));
+    return std::vector<const Expr*>{
+        ctx.Compare(ICmpPredicate::kUGT, ctx.Symbol(0), ctx.Constant(10, 8)),
+        ctx.Compare(ICmpPredicate::kEq, sum, ctx.Constant(300, 32))};
+  };
+  std::vector<uint8_t> model_a;
+  std::vector<uint8_t> model_b;
+  SolverChain chain_a(a);
+  SolverChain chain_b(b);
+  ASSERT_EQ(chain_a.CheckSatCanonical(build(a), &model_a), SatResult::kSat);
+  ASSERT_EQ(chain_b.CheckSatCanonical(build(b), &model_b), SatResult::kSat);
+  EXPECT_EQ(model_a, model_b);
+}
+
 TEST(PortableHash, SymbolTableKeepsActualIndices) {
   // x0 < 5 and x1 < 5 are alpha-equivalent (identical walk bodies) but
   // models are specific to byte positions, so the appended symbol table
@@ -449,6 +472,11 @@ TEST(RunKeys, OptionsFingerprintSeparatesBehaviorNotWorkerCount) {
   SymexOptions sliced = base;
   sliced.slice_checks = true;
   EXPECT_NE(OptionsFingerprint(sliced), fp);
+}
+
+TEST(RunKeys, DefaultOptionsFingerprintIsStable) {
+  // Stores are keyed by this value; if it moves, every saved store misses.
+  EXPECT_EQ(OptionsFingerprint(SymexOptions{}), 0x45b894e93180da7eull);
 }
 
 TEST(RunKeys, ModuleContentHashTracksContent) {

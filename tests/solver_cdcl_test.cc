@@ -332,10 +332,11 @@ TEST_F(CdclTest, ChainClauseReuseKeepsVerdictsAndNeverAddsWork) {
   EXPECT_EQ(learning.CheckSat(q2, nullptr), SatResult::kUnsat);
   EXPECT_EQ(frozen.CheckSat(q2, nullptr), SatResult::kUnsat);
 
-  EXPECT_GT(learning.stats().core_conflicts, 0u);
-  EXPECT_GT(learning.stats().core_learned, 0u);
-  EXPECT_EQ(frozen.stats().core_learned, 0u);
-  EXPECT_LE(learning.stats().core_candidates, frozen.stats().core_candidates);
+  EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreConflicts), 0u);
+  EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreLearned), 0u);
+  EXPECT_EQ(frozen.metrics().Get(Counter::kSolverCoreLearned), 0u);
+  EXPECT_LE(learning.metrics().Get(Counter::kSolverCoreCandidates),
+            frozen.metrics().Get(Counter::kSolverCoreCandidates));
 }
 
 // ---- Engine-level determinism with learning enabled.
@@ -349,7 +350,6 @@ TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1, 4};
-  options.interners = {true};
   options.preprocess = {true};
   options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
@@ -383,7 +383,6 @@ TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1};
-  options.interners = {true};
   options.preprocess = {true};
   options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};

@@ -209,16 +209,6 @@ TEST(SharedInternerTest, RacingContextsConvergeOnOneCanonicalNode) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(roots[0], roots[t]) << "thread " << t;
   }
-  EXPECT_TRUE(interner.Owns(roots[0]));
-}
-
-TEST(SharedInternerTest, OwnsRejectsForeignNodes) {
-  ExprInterner interner(/*concurrent=*/true);
-  ExprContext view(interner);
-  const Expr* inside = view.Constant(7, 32);
-  EXPECT_TRUE(interner.Owns(inside));
-  ExprContext private_ctx;
-  EXPECT_FALSE(interner.Owns(private_ctx.Constant(123456, 32)));
 }
 
 TEST(SharedInternerTest, PerContextMemosEvaluateTheSharedDagIndependently) {

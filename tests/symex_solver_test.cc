@@ -108,10 +108,10 @@ TEST(SolverChainTest, CachesRepeatedQueries) {
   auto cond = ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant('a', 8));
   std::vector<const Expr*> path;
   EXPECT_EQ(chain.MayBeTrue(path, cond, nullptr), SatResult::kSat);
-  uint64_t core_before = chain.stats().core_queries;
+  uint64_t core_before = chain.metrics().Get(Counter::kSolverCoreQueries);
   EXPECT_EQ(chain.MayBeTrue(path, cond, nullptr), SatResult::kSat);
-  EXPECT_EQ(chain.stats().core_queries, core_before);  // served by cache
-  EXPECT_GE(chain.stats().cache_hits, 1u);
+  EXPECT_EQ(chain.metrics().Get(Counter::kSolverCoreQueries), core_before);  // served by cache
+  EXPECT_GE(chain.metrics().Get(Counter::kSolverCacheHits), 1u);
 }
 
 TEST(SolverChainTest, IndependenceKeepsQueriesSmall) {
@@ -124,7 +124,7 @@ TEST(SolverChainTest, IndependenceKeepsQueriesSmall) {
   }
   auto cond = ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(5, 8));
   EXPECT_EQ(chain.MayBeTrue(path, cond, nullptr), SatResult::kSat);
-  EXPECT_GE(chain.stats().independence_drops, 10u);
+  EXPECT_GE(chain.metrics().Get(Counter::kSolverIndependenceDrops), 10u);
 }
 
 TEST(SolverChainTest, ModelReuseAcrossSimilarQueries) {
@@ -136,12 +136,13 @@ TEST(SolverChainTest, ModelReuseAcrossSimilarQueries) {
   // the preprocessor substitutes the byte binding and settles it outright
   // (with preprocessing disabled it would be a cache/reuse hit instead).
   EXPECT_EQ(chain.CheckSat(path, nullptr), SatResult::kSat);
-  uint64_t core_before = chain.stats().core_queries;
+  uint64_t core_before = chain.metrics().Get(Counter::kSolverCoreQueries);
   auto weaker = ctx.Compare(ICmpPredicate::kUGT, ctx.Symbol(0), ctx.Constant(3, 8));
   EXPECT_EQ(chain.MayBeTrue(path, weaker, nullptr), SatResult::kSat);
-  EXPECT_EQ(chain.stats().core_queries, core_before);
-  EXPECT_GE(chain.stats().reuse_hits + chain.stats().cache_hits +
-                chain.stats().presolve_shortcuts,
+  EXPECT_EQ(chain.metrics().Get(Counter::kSolverCoreQueries), core_before);
+  EXPECT_GE(chain.metrics().Get(Counter::kSolverReuseHits) +
+                chain.metrics().Get(Counter::kSolverCacheHits) +
+                chain.metrics().Get(Counter::kPresolveShortcuts),
             1u);
 }
 
@@ -162,7 +163,7 @@ TEST(SolverChainTest, CexCacheIsBoundedAndEvicts) {
       EXPECT_EQ(query(x, y), SatResult::kSat);
     }
   }
-  EXPECT_GE(chain.stats().cex_evictions, 1u);
+  EXPECT_GE(chain.metrics().Get(Counter::kPrefixEvictions), 1u);
   // The earliest entries are long evicted; answers are still right.
   EXPECT_EQ(query(0, 0), SatResult::kSat);
 }
@@ -175,8 +176,10 @@ TEST(SolverChainTest, StatsExposeFastPathCounters) {
   auto cond = ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(3, 8));
   EXPECT_EQ(chain.MayBeTrue(path, cond, nullptr), SatResult::kSat);
   // The core search evaluates shared subexpressions under the inline memo.
-  EXPECT_GE(chain.stats().eval_memo_hits + chain.stats().interval_memo_hits, 0u);
-  EXPECT_EQ(chain.stats().cex_evictions, 0u);
+  EXPECT_GE(chain.metrics().Get(Counter::kSolverEvalMemoHits) +
+                chain.metrics().Get(Counter::kSolverIntervalMemoHits),
+            0u);
+  EXPECT_EQ(chain.metrics().Get(Counter::kPrefixEvictions), 0u);
 }
 
 TEST(SolverChainTest, UnsatDetected) {
@@ -213,8 +216,8 @@ TEST(SolverChainUnknownTest, BudgetUnknownIsAttributedAndNeverCached) {
   chain.set_control(tiny);
   EXPECT_EQ(chain.CheckSat(constraints, nullptr), SatResult::kUnknown);
   EXPECT_EQ(chain.last_unknown_cause(), UnknownCause::kCandidateBudget);
-  EXPECT_EQ(chain.stats().unknown_budget, 1u);
-  uint64_t core_after_first = chain.stats().core_queries;
+  EXPECT_EQ(chain.metrics().Get(Counter::kSolverUnknownBudget), 1u);
+  uint64_t core_after_first = chain.metrics().Get(Counter::kSolverCoreQueries);
   EXPECT_GE(core_after_first, 1u);
 
   // Re-asking under the same tiny budget must hit the core again — if the
@@ -222,13 +225,13 @@ TEST(SolverChainUnknownTest, BudgetUnknownIsAttributedAndNeverCached) {
   // query (and PrefixCache::Insert asserts against such an entry ever
   // existing).
   EXPECT_EQ(chain.CheckSat(constraints, nullptr), SatResult::kUnknown);
-  EXPECT_EQ(chain.stats().unknown_budget, 2u);
-  EXPECT_GT(chain.stats().core_queries, core_after_first);
+  EXPECT_EQ(chain.metrics().Get(Counter::kSolverUnknownBudget), 2u);
+  EXPECT_GT(chain.metrics().Get(Counter::kSolverCoreQueries), core_after_first);
 
   // With the budget restored the exact verdict comes through untainted.
   chain.set_control(QueryControl{});
   EXPECT_EQ(chain.CheckSat(constraints, nullptr), SatResult::kUnsat);
-  EXPECT_EQ(chain.stats().unknown_budget, 2u);
+  EXPECT_EQ(chain.metrics().Get(Counter::kSolverUnknownBudget), 2u);
 }
 
 TEST(SolverChainUnknownTest, InjectedUnknownIsAttributedAndRecoverable) {
@@ -251,7 +254,7 @@ TEST(SolverChainUnknownTest, InjectedUnknownIsAttributedAndRecoverable) {
 
   EXPECT_EQ(chain.CheckSat(constraints, nullptr), SatResult::kUnknown);
   EXPECT_EQ(chain.last_unknown_cause(), UnknownCause::kInjected);
-  EXPECT_EQ(chain.stats().unknown_injected, 1u);
+  EXPECT_EQ(chain.metrics().Get(Counter::kSolverUnknownInjected), 1u);
 
   chain.set_control(QueryControl{});
   std::vector<uint8_t> model;
@@ -290,7 +293,8 @@ TEST(SolverChainUnknownTest, InjectedCacheMissesLeaveVerdictsUnchanged) {
   // The clean chain got to reuse its cache; the faulted one paid the core
   // search every time. Same answers, different work — completeness of the
   // cache is a performance property, never a soundness one.
-  EXPECT_GE(faulted.stats().core_queries, clean.stats().core_queries);
+  EXPECT_GE(faulted.metrics().Get(Counter::kSolverCoreQueries),
+            clean.metrics().Get(Counter::kSolverCoreQueries));
 }
 
 }  // namespace

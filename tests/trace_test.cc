@@ -121,7 +121,8 @@ TEST_F(TraceTest, TracingDoesNotPerturbResults) {
   EXPECT_EQ(untraced.forks, traced.forks);
   EXPECT_EQ(untraced.exhausted, traced.exhausted);
   EXPECT_EQ(untraced.bugs.size(), traced.bugs.size());
-  EXPECT_EQ(untraced.solver.queries, traced.solver.queries);
+  EXPECT_EQ(untraced.metrics.Get(Counter::kSolverQueries),
+            traced.metrics.Get(Counter::kSolverQueries));
 }
 
 }  // namespace
