@@ -151,8 +151,12 @@ uint64_t OptionsFingerprint(const SymexOptions& options) {
   // so a 1-job warm run may reuse a 8-job cold harvest.
   PortableHasher hasher;
   hasher.Fold(static_cast<uint8_t>(options.strategy));
-  hasher.Fold(static_cast<uint8_t>(options.solver_preprocess ? 1 : 0));
-  hasher.Fold(static_cast<uint8_t>(options.solver_learning ? 1 : 0));
+  // Two constant bytes where the retired preprocessing and learning
+  // switches (both on) used to be folded: the fingerprint of every option
+  // set stays what it was, so stores saved before the switches were
+  // removed still hit.
+  hasher.Fold(uint8_t{1});
+  hasher.Fold(uint8_t{1});
   hasher.Fold(static_cast<uint8_t>(options.slice_checks ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.annotations != nullptr ? 1 : 0));
   hasher.Fold(options.search_seed);

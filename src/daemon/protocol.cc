@@ -1,5 +1,6 @@
 #include "src/daemon/protocol.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -29,10 +30,14 @@ bool ReadExact(int fd, uint8_t* buf, size_t n) {
   return true;
 }
 
+// Both ends are AF_UNIX stream sockets, so send() applies. MSG_NOSIGNAL
+// turns a write to a peer that already hung up into EPIPE instead of a
+// process-killing SIGPIPE: the daemon drops that connection and keeps
+// serving (and keeps its unsaved store).
 bool WriteExact(int fd, const uint8_t* buf, size_t n) {
   size_t done = 0;
   while (done < n) {
-    const ssize_t put = ::write(fd, buf + done, n - done);
+    const ssize_t put = ::send(fd, buf + done, n - done, MSG_NOSIGNAL);
     if (put < 0) {
       if (errno == EINTR) {
         continue;

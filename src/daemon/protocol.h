@@ -77,9 +77,10 @@ struct StatsReply {
   uint64_t store_entries = 0;
 };
 
-// ---- Frame IO (blocking, on a connected socket fd) ----
+// ---- Frame IO (blocking, on a connected AF_UNIX stream socket) ----
 
-// False on EOF, short read/write, or an oversized length prefix.
+// False on EOF, short read/write, or an oversized length prefix. Writing
+// to a peer that hung up fails with EPIPE rather than raising SIGPIPE.
 bool ReadFrame(int fd, std::vector<uint8_t>& payload);
 bool WriteFrame(int fd, const std::vector<uint8_t>& payload);
 

@@ -53,7 +53,7 @@ SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned 
                     const SymexLimits& limits, unsigned jobs = 1,
                     SearchStrategy strategy = SearchStrategy::kDfs);
 
-// Full-options overload (solver_preprocess, solver_learning, slice_checks,
+// Full-options overload (strategy, faults, slice_checks, trace_path,
 // cache_store, ...). The compiled module's annotations are still injected
 // when present.
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,

@@ -43,16 +43,16 @@ const char* HistName(Hist h) { return kHistNames[static_cast<size_t>(h)]; }
 
 // Log-linear bucketing with 2 significant mantissa bits: values below 4 map
 // to their own buckets (0..3); otherwise, with e the index of the leading
-// bit, the bucket is 4*e + the two mantissa bits below it. Each power of
-// two therefore splits into 4 equal-width sub-buckets.
+// bit, the bucket is 4*e + the two mantissa bits below it, minus 4. Each
+// power of two therefore splits into 4 equal-width sub-buckets, and the
+// largest value (e = 63, mantissa 3) lands in the last bucket, 251.
 size_t LatencyHistogram::BucketFor(uint64_t ns) {
   if (ns < 4) {
     return static_cast<size_t>(ns);
   }
   const unsigned e = 63u - static_cast<unsigned>(__builtin_clzll(ns));
   const uint64_t mantissa = (ns >> (e - 2)) & 3;
-  size_t bucket = static_cast<size_t>(e) * 4 + static_cast<size_t>(mantissa) - 4;
-  return bucket < kNumBuckets ? bucket : kNumBuckets - 1;
+  return static_cast<size_t>(e) * 4 + static_cast<size_t>(mantissa) - 4;
 }
 
 uint64_t LatencyHistogram::BucketLow(size_t bucket) {

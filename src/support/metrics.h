@@ -155,11 +155,12 @@ inline uint64_t MetricsNowNs() {
 
 // Fixed-bucket log-linear latency histogram (HdrHistogram-style, 2
 // significant mantissa bits): 4 sub-buckets per power of two, ~12.5%
-// relative error, 256 buckets covering the full uint64 nanosecond range.
-// No allocation, merge is bucket-wise addition.
+// relative error, 252 buckets covering the full uint64 nanosecond range
+// (values 0..3, then 4 per leading-bit position 2..63). No allocation,
+// merge is bucket-wise addition.
 class LatencyHistogram {
  public:
-  static constexpr size_t kNumBuckets = 256;
+  static constexpr size_t kNumBuckets = 252;
 
   void Record(uint64_t ns) {
     ++buckets_[BucketFor(ns)];

@@ -43,8 +43,6 @@ class EngineCore::Impl {
     // The solver writes into this worker's shard directly; installed before
     // any query so no counts land in the chain's private fallback shard.
     solver_.set_metrics(&metrics_);
-    solver_.set_preprocessing(options_.solver_preprocess);
-    solver_.set_learning(options_.solver_learning);
     // Cooperative query controls: the run deadline (stamped by the pool; a
     // default-constructed SharedCounters leaves it unset, so direct engine
     // users never get spurious deadline unknowns), the stop latch, this

@@ -137,17 +137,6 @@ struct SymexOptions {
   SearchStrategy strategy = SearchStrategy::kDfs;
   // Worker threads exploring in parallel; 0 = one per hardware thread.
   unsigned jobs = 1;
-  // Constraint preprocessing + prefix-aware counterexample caching ahead of
-  // the core search (docs/engine.md). Off is for A/B comparisons and the
-  // preprocessing regression tests; verdicts and bug reports are identical
-  // either way.
-  bool solver_preprocess = true;
-  // Conflict clause learning, non-chronological backjumping and restarts in
-  // the backtracking core (docs/solver.md). Off is for A/B comparisons in
-  // the differential lattice; verdicts, models and bug reports are
-  // identical either way — learning only prunes candidates the search
-  // would have refuted one by one.
-  bool solver_learning = true;
   // Seed for the random-path strategy (worker index is mixed in per worker).
   uint64_t search_seed = 0x05e11a11;
   // Deterministic fault injection (src/support/fault.h). Disabled by

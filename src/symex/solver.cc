@@ -6,7 +6,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "src/support/env.h"
 #include "src/support/trace.h"
 
 namespace overify {
@@ -170,34 +169,17 @@ struct ActiveClause {
   double activity = 1.0;
 };
 
-}  // namespace
+// CDCL search parameters. Learned-clause pruning only ever skips
+// non-models, so verdicts and first models do not depend on these values
+// (docs/solver.md#determinism); they set how much work a search does.
+constexpr uint64_t kRestartBase = 64;     // conflicts per Luby unit
+constexpr uint32_t kMaxRestarts = 24;     // finite so completeness never depends on luck
+constexpr size_t kClauseCapacity = 512;   // store bound; low-activity half evicted
+constexpr size_t kMaxClauseLiterals = 8;  // longer nogoods are not worth storing
+constexpr size_t kMaxExportClauses = 16;  // top-activity clauses kept per cache entry
+constexpr double kActivityDecay = 0.95;   // applied to all activities every 128 conflicts
 
-CdclConfig CdclConfigFromEnv() {
-  // Strict parsing (src/support/env.h): a mistyped sweep value used to be
-  // silently treated as 0 or partially parsed, which ran a *different*
-  // parameter point than the CI matrix claimed. Now anything that is not a
-  // complete in-range literal keeps the compiled-in default and reports a
-  // structured diagnostic.
-  CdclConfig config;
-  uint64_t v = 0;
-  EnvParse parse = ParseEnvUint64("OVERIFY_CDCL_RESTART_BASE", 1, uint64_t{1} << 32, &v);
-  if (parse.ok) {
-    config.restart_base = v;
-  }
-  ReportEnvError(parse);
-  double decay = 0;
-  parse = ParseEnvDouble("OVERIFY_CDCL_DECAY", 1e-6, 1.0, &decay);
-  if (parse.ok) {
-    config.activity_decay = decay;
-  }
-  ReportEnvError(parse);
-  parse = ParseEnvUint64("OVERIFY_CDCL_CLAUSES", 1, uint64_t{1} << 24, &v);
-  if (parse.ok) {
-    config.clause_capacity = static_cast<size_t>(v);
-  }
-  ReportEnvError(parse);
-  return config;
-}
+}  // namespace
 
 SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>& constraints,
                                std::vector<uint8_t>* model, uint64_t candidate_budget,
@@ -251,7 +233,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   // position masks; fall back to chronological, learning-free behaviour for
   // absurdly wide queries. Domain pruning and value ordering apply always.
   const bool use_cbj = order.size() <= 64;
-  const bool learn = config_.learning && use_cbj;
 
   // Symbol index -> decision level.
   std::vector<int32_t> level_of(max_symbol + 1, -1);
@@ -393,7 +374,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   // constraint set, so every one of them is valid here.
   std::vector<ActiveClause> store;
   std::vector<std::vector<uint32_t>> clauses_at(order.size());
-  if (learn && extras != nullptr && extras->seeds != nullptr) {
+  if (use_cbj && extras != nullptr && extras->seeds != nullptr) {
     for (const LearnedClause* seed : *extras->seeds) {
       if (seed->lits.size() != 1) {
         continue;
@@ -451,10 +432,10 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     std::fprintf(stderr, "\n");
   }
 
-  if (learn && extras != nullptr && extras->seeds != nullptr) {
+  if (use_cbj && extras != nullptr && extras->seeds != nullptr) {
     std::set<std::vector<std::pair<uint32_t, uint8_t>>> seen;
     for (const LearnedClause* seed : *extras->seeds) {
-      if (seed->lits.size() < 2 || seed->lits.size() > config_.max_clause_literals) {
+      if (seed->lits.size() < 2 || seed->lits.size() > kMaxClauseLiterals) {
         continue;
       }
       std::vector<std::pair<uint32_t, uint8_t>> lits;
@@ -493,7 +474,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   auto clear_domain = [&](size_t level, uint8_t v) {
     domain[level].Clear(v);
     ++domain_clears_since_restart;
-    if (learn && order[level] <= 0xffff && cleared.size() < 32) {
+    if (use_cbj && order[level] <= 0xffff && cleared.size() < 32) {
       cleared.emplace_back(static_cast<uint16_t>(order[level]), v);
     }
   };
@@ -556,7 +537,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   // Restart + activity bookkeeping (learning only).
   uint64_t conflicts_since_restart = 0;
   uint32_t restarts_done = 0;
-  uint64_t restart_threshold = LubyUnit(0) * config_.restart_base;
+  uint64_t restart_threshold = LubyUnit(0) * kRestartBase;
   uint64_t decay_countdown = 128;
 
   uint64_t debug_conflicts_by_depth[64] = {};
@@ -569,10 +550,10 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     if (extras != nullptr && extras->metrics != nullptr) {
       extras->metrics->Record(Hist::kCoreConflictDepth, d);
     }
-    if (learn && --decay_countdown == 0) {
+    if (use_cbj && --decay_countdown == 0) {
       decay_countdown = 128;
       for (ActiveClause& c : store) {
-        c.activity *= config_.activity_decay;
+        c.activity *= kActivityDecay;
       }
     }
   };
@@ -580,14 +561,14 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   // Appends a learned clause, compacting the store to its top-activity half
   // (stable on ties, so the store's evolution is deterministic) when full.
   auto add_clause = [&](std::vector<std::pair<uint32_t, uint8_t>> lits, uint64_t mask) {
-    if (store.size() >= config_.clause_capacity) {
+    if (store.size() >= kClauseCapacity) {
       std::vector<uint32_t> by_activity(store.size());
       for (uint32_t i = 0; i < by_activity.size(); ++i) {
         by_activity[i] = i;
       }
       std::stable_sort(by_activity.begin(), by_activity.end(),
                        [&](uint32_t a, uint32_t b) { return store[a].activity > store[b].activity; });
-      by_activity.resize(std::max<size_t>(config_.clause_capacity / 2, 1));
+      by_activity.resize(kClauseCapacity / 2);
       std::sort(by_activity.begin(), by_activity.end());  // keep insertion order
       std::vector<ActiveClause> kept;
       kept.reserve(by_activity.size());
@@ -613,7 +594,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   // nogood means the value fails under every prefix — fold it into the
   // domain instead of the store.
   auto learn_from_conflict = [&](uint64_t blame, size_t depth_now, uint8_t value) {
-    if (!learn) {
+    if (!use_cbj) {
       return;
     }
     const uint64_t m = blame | (uint64_t{1} << depth_now);
@@ -622,7 +603,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       clear_domain(depth_now, value);
       return;
     }
-    if (static_cast<size_t>(n) > config_.max_clause_literals) {
+    if (static_cast<size_t>(n) > kMaxClauseLiterals) {
       return;
     }
     std::vector<std::pair<uint32_t, uint8_t>> lits;
@@ -639,7 +620,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   // Converts the store's top-activity clauses (and the search-derived
   // domain clears) back to symbol space for the caller's cache entry.
   auto export_learned = [&]() {
-    if (!learn || extras == nullptr || extras->learned == nullptr) {
+    if (!use_cbj || extras == nullptr || extras->learned == nullptr) {
       return;
     }
     std::vector<LearnedClause>& out = *extras->learned;
@@ -647,7 +628,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     // max_export_clauses bounds the TOTAL export; domain clears prune
     // hardest, so they claim slots first and the store fills the rest.
     for (const auto& [sym, v] : cleared) {
-      if (out.size() >= config_.max_export_clauses) {
+      if (out.size() >= kMaxExportClauses) {
         break;
       }
       LearnedClause c;
@@ -661,7 +642,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     std::stable_sort(by_activity.begin(), by_activity.end(),
                      [&](uint32_t a, uint32_t b) { return store[a].activity > store[b].activity; });
-    const size_t remaining = config_.max_export_clauses - out.size();
+    const size_t remaining = kMaxExportClauses - out.size();
     const size_t limit = std::min(by_activity.size(), remaining);
     for (size_t i = 0; i < limit; ++i) {
       const ActiveClause& c = store[by_activity[i]];
@@ -755,11 +736,11 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       }
       return SatResult::kSat;
     }
-    // Derived-domains trigger (once per query, independent of the learning
-    // switch): unwind to the root so the sweep sees no assigned levels,
-    // derive, rebuild the value lists over the narrowed domains, and turn on
-    // forward checking for the rest of the query. Replaying the unwound
-    // prefix costs at most the kDeriveTrigger candidates already spent.
+    // Derived-domains trigger (once per query, wide queries included):
+    // unwind to the root so the sweep sees no assigned levels, derive,
+    // rebuild the value lists over the narrowed domains, and turn on forward
+    // checking for the rest of the query. Replaying the unwound prefix costs
+    // at most the kDeriveTrigger candidates already spent.
     if (!derived && candidates_tried_ - candidates_at_entry >= kDeriveTrigger) {
       derived = true;
       for (size_t level = 0; level < depth; ++level) {
@@ -798,12 +779,12 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     // depth <= 1 with fresh domain clears; a due-but-unprofitable
     // opportunity is declined by resetting the conflict counter
     // (docs/solver.md#restarts).
-    if (learn && depth > 0 && restarts_done < config_.max_restarts &&
+    if (use_cbj && depth > 0 && restarts_done < kMaxRestarts &&
         conflicts_since_restart >= restart_threshold &&
         (domain_clears_since_restart == 0 || depth > 1)) {
       conflicts_since_restart = 0;
     }
-    if (learn && depth > 0 && restarts_done < config_.max_restarts &&
+    if (use_cbj && depth > 0 && restarts_done < kMaxRestarts &&
         conflicts_since_restart >= restart_threshold) {
       domain_clears_since_restart = 0;
       // Deepest-first so a level narrowed at several depths lands back on
@@ -822,7 +803,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       conflicts_since_restart = 0;
       ++restarts_;
       ++restarts_done;
-      restart_threshold = LubyUnit(restarts_done) * config_.restart_base;
+      restart_threshold = LubyUnit(restarts_done) * kRestartBase;
     }
     // About to pick the next candidate at this level: whatever forward
     // checking narrowed while the previous candidate stood no longer holds.
@@ -877,13 +858,13 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       if (depth - jump > 1) {
         ++backjumps_;  // non-chronological: at least one level skipped
       }
-      if (learn) {
+      if (use_cbj) {
         const int n = __builtin_popcountll(mask);
         if (n == 1) {
           // The jump level's value alone admits no completion: a permanent
           // domain clear, stronger than any stored clause.
           clear_domain(jump, assignment[order[jump]]);
-        } else if (static_cast<size_t>(n) <= config_.max_clause_literals) {
+        } else if (static_cast<size_t>(n) <= kMaxClauseLiterals) {
           std::vector<std::pair<uint32_t, uint8_t>> lits;
           lits.reserve(static_cast<size_t>(n));
           uint64_t rest = mask;
@@ -943,7 +924,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     // matching nogood refutes the candidate with a few byte compares. Every
     // clause bucketed here has its deepest literal at this level, so all of
     // its other literals are already assigned.
-    if (learn && !clauses_at[depth].empty()) {
+    if (use_cbj && !clauses_at[depth].empty()) {
       for (uint32_t idx : clauses_at[depth]) {
         ActiveClause& c = store[idx];
         if (c.lits.back().second != value) {
@@ -1582,7 +1563,7 @@ SatResult SolverChain::Unknown(UnknownCause cause) {
 }
 
 SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
-                             std::vector<uint8_t>* model, const PathPrefix* prefix) {
+                             std::vector<uint8_t>* model, const PathPrefix& prefix) {
   std::vector<const Expr*>& canonical = canonical_scratch_;
   if (!Canonicalize(filtered, canonical)) {
     return SatResult::kUnsat;
@@ -1821,28 +1802,26 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
   const uint64_t candidates_before = core_.candidates_tried();
   const uint64_t core_t0 = timed ? MetricsNowNs() : 0;
   CoreSolver::SearchExtras extras;
-  if (prefix != nullptr && !prefix->range.empty()) {
-    extras.ranges = &prefix->range;
+  if (!prefix.range.empty()) {
+    extras.ranges = &prefix.range;
   }
   seed_scratch_.clear();
-  if (core_.config().learning) {
-    for (const PrefixCache::Entry* entry : subsets) {
-      if (entry->unvalidated) {
-        // Clauses from a not-yet-validated persisted entry could prune
-        // satisfying assignments if the store lied; they only seed once the
-        // entry's model has survived a live re-validation.
-        continue;
-      }
-      for (const LearnedClause& clause : entry->clauses) {
-        seed_scratch_.push_back(&clause);
-      }
+  for (const PrefixCache::Entry* entry : subsets) {
+    if (entry->unvalidated) {
+      // Clauses from a not-yet-validated persisted entry could prune
+      // satisfying assignments if the store lied; they only seed once the
+      // entry's model has survived a live re-validation.
+      continue;
     }
-    if (!seed_scratch_.empty()) {
-      extras.seeds = &seed_scratch_;
+    for (const LearnedClause& clause : entry->clauses) {
+      seed_scratch_.push_back(&clause);
     }
-    extras.learned = &learned_scratch_;
-    learned_scratch_.clear();
   }
+  if (!seed_scratch_.empty()) {
+    extras.seeds = &seed_scratch_;
+  }
+  extras.learned = &learned_scratch_;
+  learned_scratch_.clear();
   extras.metrics = metrics_;
   SatResult result = core_.CheckSat(ctx_, canonical, &core_model, control_.query_candidates,
                                     &control_, &core_cause, &extras);
@@ -1947,9 +1926,6 @@ SatResult SolverChain::CheckSat(const std::vector<const Expr*>& constraints,
 
 SatResult SolverChain::CheckSatImpl(const std::vector<const Expr*>& constraints,
                                     std::vector<uint8_t>* model, PathPrefix* prefix) {
-  if (!preprocess_enabled_) {
-    return Solve(constraints, model);
-  }
   PathPrefix* p = EffectivePrefix(prefix, constraints);
   if (p == nullptr) {
     return Unknown(UnknownCause::kDeadline);
@@ -1958,7 +1934,7 @@ SatResult SolverChain::CheckSatImpl(const std::vector<const Expr*>& constraints,
     return SatResult::kUnsat;
   }
   AssemblePreprocessed(*p, preprocessed_scratch_);
-  return Solve(preprocessed_scratch_, model, p);
+  return Solve(preprocessed_scratch_, model, *p);
 }
 
 SatResult SolverChain::CheckSatCanonical(const std::vector<const Expr*>& constraints,
@@ -2039,12 +2015,6 @@ SatResult SolverChain::MayBeTrueImpl(const std::vector<const Expr*>& constraints
   if (cond->IsFalse()) {
     return SatResult::kUnsat;
   }
-  if (!preprocess_enabled_) {
-    FilterIndependentInto(constraints, cond, filtered_scratch_);
-    metrics_->Add(Counter::kSolverIndependenceDrops, constraints.size() - filtered_scratch_.size());
-    filtered_scratch_.push_back(cond);
-    return Solve(filtered_scratch_, model);
-  }
   PathPrefix* p = EffectivePrefix(prefix, constraints);
   if (p == nullptr) {
     return Unknown(UnknownCause::kDeadline);
@@ -2085,7 +2055,7 @@ SatResult SolverChain::MayBeTrueImpl(const std::vector<const Expr*>& constraints
   // filtered set itself (any range-bearing constraint on such a symbol
   // shares its support and survives FilterIndependent), and the core never
   // consults facts about symbols outside its search order.
-  return Solve(filtered_scratch_, model, p);
+  return Solve(filtered_scratch_, model, *p);
 }
 
 }  // namespace overify

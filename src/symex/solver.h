@@ -79,31 +79,15 @@ struct LearnedClause {
   double activity = 1.0;
 };
 
-// CDCL tuning knobs. The defaults are deliberately conservative; the solver
-// CI job sweeps restart_base / activity_decay through the environment
-// (OVERIFY_CDCL_RESTART_BASE / OVERIFY_CDCL_DECAY / OVERIFY_CDCL_CLAUSES)
-// to prove that results are parameter-independent — learned-clause pruning
-// only ever skips non-models, so the first model in the fixed value order
-// is invariant (docs/solver.md#determinism).
-struct CdclConfig {
-  bool learning = true;        // clause store + restarts (domains stay on)
-  uint64_t restart_base = 64;  // conflicts per Luby unit
-  uint32_t max_restarts = 24;  // finite so completeness never depends on luck
-  size_t clause_capacity = 512;     // store bound; low-activity half evicted
-  size_t max_clause_literals = 8;   // longer nogoods are not worth storing
-  size_t max_export_clauses = 16;   // top-activity clauses kept per cache entry
-  double activity_decay = 0.95;     // applied to all activities every 128 conflicts
-};
-
-// `CdclConfig` with any OVERIFY_CDCL_* environment overrides applied.
-CdclConfig CdclConfigFromEnv();
-
 // Core backtracking solver with CDCL machinery: per-symbol domain pruning
 // from unary constraints and caller range facts, structure-driven value
 // ordering (domain endpoints first), conflict clause learning into a
 // bounded activity-decayed store, clause-driven non-chronological
 // backjumping, and Luby-scheduled restarts that keep the store
-// (docs/solver.md).
+// (docs/solver.md). The search parameters (restart unit, store bound,
+// activity decay, ...) are compile-time constants in solver.cc: the solver
+// has one configuration, so the cost it reports is a property of the
+// constraints alone.
 class CoreSolver {
  public:
   // Optional inputs/outputs threaded around the stable CheckSat signature.
@@ -116,8 +100,9 @@ class CoreSolver {
     // Clauses learned by earlier queries over subsets of this constraint
     // set (PrefixCache reuse). Subset derivation makes them valid here.
     const std::vector<const LearnedClause*>* seeds = nullptr;
-    // When non-null and learning ran, receives the top-activity clauses of
-    // this search, converted back to symbol space.
+    // When non-null and learning ran (queries over at most 64 symbols),
+    // receives the top-activity clauses of this search, converted back to
+    // symbol space.
     std::vector<LearnedClause>* learned = nullptr;
     // When non-null, receives the conflict-depth histogram records.
     MetricsShard* metrics = nullptr;
@@ -134,9 +119,6 @@ class CoreSolver {
                      const QueryControl* control = nullptr, UnknownCause* cause = nullptr,
                      const SearchExtras* extras = nullptr);
 
-  void set_config(const CdclConfig& config) { config_ = config; }
-  const CdclConfig& config() const { return config_; }
-
   // Cumulative across every CheckSat call on this instance.
   uint64_t candidates_tried() const { return candidates_tried_; }
   uint64_t conflicts() const { return conflicts_; }
@@ -146,7 +128,6 @@ class CoreSolver {
   uint64_t restarts() const { return restarts_; }
 
  private:
-  CdclConfig config_;
   uint64_t candidates_tried_ = 0;
   uint64_t conflicts_ = 0;
   uint64_t learned_ = 0;
@@ -289,9 +270,7 @@ class PrefixCache {
 // The full KLEE-style stack. One instance per symbolic-execution run.
 class SolverChain {
  public:
-  explicit SolverChain(ExprContext& ctx) : ctx_(ctx), preprocessor_(ctx) {
-    core_.set_config(CdclConfigFromEnv());
-  }
+  explicit SolverChain(ExprContext& ctx) : ctx_(ctx), preprocessor_(ctx) {}
 
   // Is `constraints` satisfiable? When `prefix` is non-null it carries the
   // caller's incremental preprocessing summary for these constraints (the
@@ -315,24 +294,6 @@ class SolverChain {
   // (transitively) with `cond` are sent to the solver. `prefix` as above.
   SatResult MayBeTrue(const std::vector<const Expr*>& constraints, const Expr* cond,
                       std::vector<uint8_t>* model, PathPrefix* prefix = nullptr);
-
-  // Disables the preprocessing pipeline (A/B comparisons and regression
-  // tests; queries then flow straight to canonicalization + caching).
-  void set_preprocessing(bool on) { preprocess_enabled_ = on; }
-
-  // Toggles CDCL clause learning (store, restarts, cross-query seeding).
-  // Learning only ever prunes non-models, so verdicts and the models the
-  // core returns are identical either way — the diff harness A/Bs this
-  // in-lattice (DiffOptions::learning). Domain pruning and value ordering
-  // are not gated: they define the value order models depend on, so they
-  // must stay a pure function of the constraint set.
-  void set_learning(bool on) {
-    CdclConfig config = core_.config();
-    config.learning = on;
-    core_.set_config(config);
-  }
-  // Overrides the full CDCL parameter set (tests).
-  void set_cdcl_config(const CdclConfig& config) { core_.set_config(config); }
 
   // Installs the run's cooperative controls (deadline, cancel latch, fault
   // injector, per-query budgets). The engine calls this once per run; the
@@ -401,10 +362,10 @@ class SolverChain {
   bool Timed() const { return metrics_->timing || trace_ != nullptr; }
   // Records the query span that started at `t0` (histogram + trace).
   void FinishQuery(uint64_t t0, SatResult result);
-  // `prefix`, when non-null, supplies the per-symbol range facts the core
-  // uses for domain pruning (implied by `filtered`, see docs/solver.md).
+  // `prefix` supplies the per-symbol range facts the core uses for domain
+  // pruning (implied by `filtered`, see docs/solver.md).
   SatResult Solve(const std::vector<const Expr*>& filtered, std::vector<uint8_t>* model,
-                  const PathPrefix* prefix = nullptr);
+                  const PathPrefix& prefix);
   // Flushes the core's cumulative CDCL counters into the shard.
   void SyncCoreCounters() const;
   // Records `cause` into last_unknown_cause_ and the per-cause stats.
@@ -420,7 +381,6 @@ class SolverChain {
   ExprContext& ctx_;
   CoreSolver core_;
   ConstraintPreprocessor preprocessor_;
-  bool preprocess_enabled_ = true;
   QueryControl control_;
   UnknownCause last_unknown_cause_ = UnknownCause::kNone;
   // Where every counter/histogram lands: the engine's per-worker shard, or

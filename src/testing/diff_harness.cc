@@ -24,9 +24,7 @@ void AppendBytes(std::ostringstream& out, const std::vector<uint8_t>& bytes) {
 
 std::string LatticeCell::Name() const {
   std::ostringstream out;
-  out << OptLevelName(level) << "/j" << jobs << "/"
-      << (solver_preprocess ? "prep" : "noprep") << "/"
-      << (solver_learning ? "learn" : "nolearn") << "/" << SearchStrategyName(strategy);
+  out << OptLevelName(level) << "/j" << jobs << "/" << SearchStrategyName(strategy);
   if (slice_checks) {
     out << "/slice";
   }
@@ -36,8 +34,6 @@ std::string LatticeCell::Name() const {
 SymexOptions LatticeCell::ToOptions() const {
   SymexOptions options;
   options.jobs = jobs;
-  options.solver_preprocess = solver_preprocess;
-  options.solver_learning = solver_learning;
   options.strategy = strategy;
   options.slice_checks = slice_checks;
   return options;
@@ -112,20 +108,14 @@ std::vector<LatticeCell> FullLattice(const DiffOptions& options) {
   std::vector<LatticeCell> cells;
   for (OptLevel level : options.levels) {
     for (unsigned jobs : options.jobs) {
-      for (bool preprocess : options.preprocess) {
-        for (bool learning : options.learning) {
-          for (SearchStrategy strategy : options.strategies) {
-            for (bool slice : options.slicing) {
-              LatticeCell cell;
-              cell.level = level;
-              cell.jobs = jobs;
-              cell.solver_preprocess = preprocess;
-              cell.solver_learning = learning;
-              cell.strategy = strategy;
-              cell.slice_checks = slice;
-              cells.push_back(cell);
-            }
-          }
+      for (SearchStrategy strategy : options.strategies) {
+        for (bool slice : options.slicing) {
+          LatticeCell cell;
+          cell.level = level;
+          cell.jobs = jobs;
+          cell.strategy = strategy;
+          cell.slice_checks = slice;
+          cells.push_back(cell);
         }
       }
     }
@@ -201,7 +191,7 @@ DiffReport RunDifferential(const std::string& name, const std::string& source,
       continue;
     }
 
-    // Within one level every scheduler/solver cell must produce the same
+    // Within one level every scheduler cell must produce the same
     // canonical signature; the first cell is the reference. Slice-mode cells
     // form their own reference group — their path/fork counts are per-slice
     // sums, comparable only to other slice cells (the cross-level semantic

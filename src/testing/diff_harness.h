@@ -1,23 +1,20 @@
 // Differential verification harness: one workload, every configuration.
 //
-// The engine has four independently-toggleable fast paths (constraint
-// preprocessing, prefix caching behind it, CDCL-style learning in the
-// backtracking core, searcher strategy) on top of the optimization-level
-// axis the paper studies. Each of them claims
-// "identical results either way" — this harness is the single oracle that
-// enforces the claim at suite scale instead of scattered per-feature
-// equivalence tests. It runs a program through the full configuration
-// lattice
+// The engine's scheduler axes (worker count, searcher strategy) and
+// per-check slicing each claim "identical results either way" on top of
+// the optimization-level axis the paper studies. This harness is the
+// single oracle that enforces the claim at suite scale instead of
+// scattered per-feature equivalence tests. It runs a program through the
+// full configuration lattice
 //
-//   {-O0, -OVERIFY, -O3} x {1, 4 workers} x {preprocess on, off}
-//                        x {learning on, off} x {dfs, coverage-guided}
+//   {-O0, -OVERIFY, -O3} x {1, 4 workers} x {dfs, coverage-guided}
 //
 // and asserts a canonical RunSignature per cell:
 //
 //  - within one optimization level (same compiled module), the signature —
 //    per-cause terminated counters, path/fork/instruction counts, and the
 //    sorted bug reports with their confirmed models — must be bit-identical
-//    across every scheduler/solver configuration of an exhausted run;
+//    across every scheduler configuration of an exhausted run;
 //  - across levels the compiled programs differ, so counts are not
 //    comparable; the semantic signature (exhaustion, plus the sorted set of
 //    bug kinds with whether each confirmed) must still agree.
@@ -48,8 +45,6 @@ namespace difftest {
 struct LatticeCell {
   OptLevel level = OptLevel::kOverify;
   unsigned jobs = 1;
-  bool solver_preprocess = true;
-  bool solver_learning = true;
   SearchStrategy strategy = SearchStrategy::kDfs;
   // Per-check slice verification (docs/slicing.md). Slice-mode path/fork
   // counts are per-slice sums, so slice cells form their own bit-identical
@@ -58,8 +53,8 @@ struct LatticeCell {
   // cells.
   bool slice_checks = false;
 
-  // "O3/j4/prep/learn/dfs" — stable, greppable cell id; slice-mode
-  // cells append "/slice".
+  // "O3/j4/dfs" — stable, greppable cell id; slice-mode cells append
+  // "/slice".
   std::string Name() const;
   SymexOptions ToOptions() const;
 };
@@ -136,14 +131,12 @@ RunSignature SignatureOf(const SymexResult& result, Module& module, const std::s
 struct DiffOptions {
   std::vector<OptLevel> levels = {OptLevel::kO0, OptLevel::kOverify, OptLevel::kO3};
   std::vector<unsigned> jobs = {1, 4};
-  std::vector<bool> preprocess = {true, false};   // solver_preprocess values
-  std::vector<bool> learning = {true, false};     // solver_learning values
   std::vector<SearchStrategy> strategies = {SearchStrategy::kDfs,
                                             SearchStrategy::kCoverageGuided};
   // Slice-mode axis (docs/slicing.md). Default spans whole-program only so
   // the base lattice's cost is unchanged; slicing suites set {false, true}
   // to assert slice-vs-whole verdict equivalence on top of the scheduler
-  // and solver axes.
+  // axes.
   std::vector<bool> slicing = {false};
   std::string entry = "umain";
   SymexLimits limits;  // callers size this so every cell exhausts

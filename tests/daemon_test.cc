@@ -4,9 +4,13 @@
 // from the run cache with a signature bit-identical to the executed run,
 // and a restarted daemon rehydrates its warmth from the saved store.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -107,6 +111,23 @@ class DaemonEndToEnd : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     return false;
+  }
+
+  // A bare socket connected to the daemon, for clients that misbehave at
+  // the frame level. -1 on failure.
+  int RawConnect() const {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return -1;
+    }
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, SocketPath().c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
   }
 
   void TearDown() override {
@@ -224,6 +245,33 @@ TEST_F(DaemonEndToEnd, RestartRehydratesFromSavedStore) {
   ASSERT_TRUE(forced.ok) << forced.error;
   EXPECT_GT(forced.persist_hits, 0u) << "solver entries must survive the restart";
   EXPECT_EQ(forced.signature, memo.signature);
+}
+
+// A client that hangs up before its reply must cost the daemon only that
+// connection. The daemon serves one connection at a time, so while a first
+// client holds it, a second connects, queues an Analyze frame and closes:
+// by the time the daemon reads that request its peer is gone, and the
+// reply write fails. A third client must still get a Ping reply.
+TEST_F(DaemonEndToEnd, ClientThatHangsUpBeforeItsReplyCostsOnlyItsConnection) {
+  StartServer(/*store_path=*/"");
+  Client holder;
+  ASSERT_TRUE(ConnectWithRetry(holder)) << holder.error();
+  ASSERT_TRUE(holder.Ping()) << holder.error();  // the daemon is serving `holder`
+
+  const int quitter = RawConnect();
+  ASSERT_GE(quitter, 0);
+  AnalyzeRequest request;
+  request.workload = "wc";
+  ASSERT_TRUE(WriteFrame(quitter, EncodeAnalyzeRequest(request)));
+  ::close(quitter);
+  holder.Close();
+
+  Client next;
+  ASSERT_TRUE(ConnectWithRetry(next)) << next.error();
+  EXPECT_TRUE(next.Ping()) << next.error();
+  StatsReply stats;
+  ASSERT_TRUE(next.Stats(stats)) << next.error();
+  EXPECT_EQ(stats.run_misses, 1u) << "the abandoned request was still served";
 }
 
 }  // namespace

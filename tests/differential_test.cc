@@ -1,6 +1,6 @@
 // The differential verification harness (src/testing/diff_harness.h) and
 // the cross-configuration contract it enforces: a canonical RunSignature
-// that is bit-identical across every scheduler/solver cell of a level and
+// that is bit-identical across every scheduler cell of a level and
 // semantically identical across optimization levels.
 //
 // Test tiers (wired to ctest LABELS in CMakeLists.txt):
@@ -34,8 +34,8 @@ using difftest::SemanticOf;
 TEST(LatticeTest, FullLatticeSpansEveryAxisCombination) {
   DiffOptions options;
   auto cells = FullLattice(options);
-  // 3 levels x 2 worker counts x 2 preprocess x 2 learning x 2 strategies.
-  EXPECT_EQ(cells.size(), 48u);
+  // 3 levels x 2 worker counts x 2 strategies.
+  EXPECT_EQ(cells.size(), 12u);
   // Cell names are unique (they key diffs and logs).
   std::vector<std::string> names;
   for (const LatticeCell& cell : cells) {
@@ -43,20 +43,16 @@ TEST(LatticeTest, FullLatticeSpansEveryAxisCombination) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
-  EXPECT_EQ(cells.front().Name(), "-O0/j1/prep/learn/dfs");
+  EXPECT_EQ(cells.front().Name(), "-O0/j1/dfs");
 }
 
 TEST(LatticeTest, CellOptionsCarryEveryAxis) {
   LatticeCell cell;
   cell.jobs = 4;
-  cell.solver_preprocess = false;
-  cell.solver_learning = false;
   cell.strategy = SearchStrategy::kCoverageGuided;
   cell.slice_checks = true;
   SymexOptions options = cell.ToOptions();
   EXPECT_EQ(options.jobs, 4u);
-  EXPECT_FALSE(options.solver_preprocess);
-  EXPECT_FALSE(options.solver_learning);
   EXPECT_EQ(options.strategy, SearchStrategy::kCoverageGuided);
   EXPECT_TRUE(options.slice_checks);
   EXPECT_NE(cell.Name().find("/slice"), std::string::npos);
@@ -66,7 +62,7 @@ TEST(LatticeTest, SlicingAxisDoublesTheLattice) {
   DiffOptions options;
   options.slicing = {false, true};
   auto cells = FullLattice(options);
-  EXPECT_EQ(cells.size(), 96u);
+  EXPECT_EQ(cells.size(), 24u);
   size_t sliced = 0;
   for (const LatticeCell& cell : cells) {
     if (cell.slice_checks) {
@@ -74,7 +70,7 @@ TEST(LatticeTest, SlicingAxisDoublesTheLattice) {
       EXPECT_NE(cell.Name().find("/slice"), std::string::npos);
     }
   }
-  EXPECT_EQ(sliced, 48u);
+  EXPECT_EQ(sliced, 12u);
 }
 
 TEST(SignatureTest, SemanticSignatureDedupsKindsAndKeepsConfirmation) {
@@ -117,7 +113,7 @@ TEST(DifferentialTest, CleanProgramPassesTheFullLattice) {
   )",
                                       4, options);
   EXPECT_TRUE(report.ok) << report.diff;
-  EXPECT_EQ(report.cells.size(), 48u);
+  EXPECT_EQ(report.cells.size(), 12u);
   for (const auto& cell : report.cells) {
     EXPECT_TRUE(cell.signature.exhausted) << cell.cell.Name();
     EXPECT_TRUE(cell.signature.bugs.empty()) << cell.cell.Name();
@@ -157,8 +153,6 @@ TEST(DifferentialTest, BuggyProgramAgreesWithConfirmedModels) {
 TEST(DifferentialTest, SliceModeAgreesOnABuggyProgram) {
   DiffOptions options;
   options.jobs = {1};
-  options.preprocess = {true};
-  options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
   options.slicing = {false, true};
   options.limits.max_seconds = 60;
@@ -189,7 +183,6 @@ TEST(DifferentialTest, CappedCellsFailWhenExhaustionIsRequired) {
   DiffOptions options;
   options.levels = {OptLevel::kO0};
   options.jobs = {1};
-  options.preprocess = {true};
   options.strategies = {SearchStrategy::kBfs};
   options.limits.max_paths = 4;  // stops the 256-way fan-out immediately
   DiffReport report = RunDifferential("capped", R"(
@@ -228,8 +221,6 @@ TEST_P(WorkloadDifferentialTest, SliceModeAgreesWithWholeProgram) {
   ASSERT_NE(workload, nullptr) << GetParam();
   DiffOptions options;
   options.jobs = {1, 4};
-  options.preprocess = {true};
-  options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
   options.slicing = {false, true};
   options.limits.max_seconds = 120;
@@ -314,8 +305,6 @@ class SlowSlicingDifferentialTest : public ::testing::TestWithParam<Workload> {}
 TEST_P(SlowSlicingDifferentialTest, SliceModeAgreesAtDefaultWidth) {
   const Workload& workload = GetParam();
   DiffOptions options;
-  options.preprocess = {true};
-  options.learning = {true};
   options.slicing = {false, true};
   options.limits.max_paths = 400000;
   options.limits.max_seconds = 120;

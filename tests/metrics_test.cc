@@ -31,7 +31,7 @@ TEST(LatencyHistogramTest, BucketBoundsCoverEveryValue) {
   // consecutive buckets tile the axis without gaps.
   for (uint64_t ns : {uint64_t{4}, uint64_t{5}, uint64_t{7}, uint64_t{8}, uint64_t{100},
                       uint64_t{1000}, uint64_t{123456}, uint64_t{1} << 40,
-                      ~uint64_t{0} >> 1}) {
+                      ~uint64_t{0} >> 1, ~uint64_t{0}}) {
     size_t b = LatencyHistogram::BucketFor(ns);
     EXPECT_LE(LatencyHistogram::BucketLow(b), ns) << ns;
     EXPECT_GE(LatencyHistogram::BucketHigh(b), ns) << ns;

