@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "src/analysis/dependence_graph.h"
 #include "src/ir/cfg.h"
@@ -282,11 +283,23 @@ SliceResult Slicer::Run() {
       }
     }
     slice.instructions = slice_fn->InstructionCount();
+    // Attribute only the instructions that survived in the slice: many
+    // clones in `mapping` were erased above, so they are looked up by
+    // address and never dereferenced. A `ret` that ReplaceTerminatorWithRet
+    // allocated may reuse an erased clone's address; the opcode check keeps
+    // it from inheriting that clone's original.
+    std::unordered_map<const Value*, const Instruction*> original_of;
     for (const auto& [orig, clone] : mapping.values) {
-      const auto* orig_inst = DynCast<Instruction>(orig);
-      const auto* clone_inst = DynCast<Instruction>(clone);
-      if (orig_inst != nullptr && clone_inst != nullptr) {
-        result.to_original[clone_inst] = orig_inst;
+      if (const auto* orig_inst = DynCast<Instruction>(orig)) {
+        original_of[clone] = orig_inst;
+      }
+    }
+    for (BasicBlock& block : *slice_fn) {
+      for (const auto& inst : block) {
+        auto it = original_of.find(inst.get());
+        if (it != original_of.end() && it->second->opcode() == inst->opcode()) {
+          result.to_original[inst.get()] = it->second;
+        }
       }
     }
     result.slices.push_back(slice);

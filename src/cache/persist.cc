@@ -146,20 +146,21 @@ uint64_t ModuleContentHash(Module& module) {
 
 uint64_t OptionsFingerprint(const SymexOptions& options) {
   // Fields that change which constraint sets arise or how they are judged.
-  // jobs / metrics_timing / trace_path / warm_interner are deliberately
-  // excluded: the scheduler contract makes results worker-count-invariant,
-  // so a 1-job warm run may reuse a 8-job cold harvest.
+  // jobs / trace_path / warm_interner are deliberately excluded: the
+  // scheduler contract makes results worker-count-invariant, so a 1-job
+  // warm run may reuse a 8-job cold harvest.
+  //
+  // Constants stand where retired options used to be folded — the search
+  // strategy (DFS, 0) and random-path seed, the preprocessing and learning
+  // switches (both on) — so the fingerprint of every option set stays what
+  // it was and stores saved before those options were removed still hit.
   PortableHasher hasher;
-  hasher.Fold(static_cast<uint8_t>(options.strategy));
-  // Two constant bytes where the retired preprocessing and learning
-  // switches (both on) used to be folded: the fingerprint of every option
-  // set stays what it was, so stores saved before the switches were
-  // removed still hit.
+  hasher.Fold(uint8_t{0});
   hasher.Fold(uint8_t{1});
   hasher.Fold(uint8_t{1});
   hasher.Fold(static_cast<uint8_t>(options.slice_checks ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.annotations != nullptr ? 1 : 0));
-  hasher.Fold(options.search_seed);
+  hasher.Fold(uint64_t{0x05e11a11});
   hasher.Fold(static_cast<uint8_t>(options.faults.enabled() ? 1 : 0));
   if (options.faults.enabled()) {
     hasher.Fold(options.faults.seed);

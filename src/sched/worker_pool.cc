@@ -3,93 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "src/cache/persist.h"
 #include "src/support/string_utils.h"
 #include "src/support/trace.h"
-#include "src/symex/engine_core.h"
 
 namespace overify {
 namespace sched {
-
-// One worker's queue: a strategy-ordered searcher behind a mutex. Every
-// worker builds into the run's one interner, so states flow between queues
-// freely.
-//
-// Queues persist across Run()s on the same pool; BeginRun rebinds the
-// run's shared counters and resets the searcher, which is what clears the
-// coverage searcher's visit table between runs (stale coverage must not
-// skew — or leak into — the next exploration).
-class WorkerQueue : public ForkSink {
- public:
-  // The largest batch one steal may take. Bounds both the time a thief
-  // holds the victim's lock and how much colder-than-necessary work a
-  // single thief can hoard.
-  static constexpr size_t kMaxStealBatch = 32;
-
-  WorkerQueue(SearchStrategy strategy, uint64_t seed)
-      : searcher_(MakeSearcher(strategy, seed)) {}
-
-  void BeginRun(SharedCounters& shared) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shared_ = &shared;
-    searcher_->Reset();
-  }
-
-  // Frees any states a limit stop left queued and drops accumulated search
-  // feedback. Call Remaining() first: this zeroes it.
-  void EndRun() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    searcher_->Reset();
-  }
-
-  void PushFork(std::unique_ptr<ExecState> state) override {
-    shared_->live_states.fetch_add(1, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lock(mutex_);
-    searcher_->Add(std::move(state));
-  }
-
-  // Enqueues a stolen state the thief keeps for itself. Unlike PushFork this
-  // does not touch live_states: the state was already counted when it was
-  // forked and stays live throughout the migration.
-  void AddStolen(std::unique_ptr<ExecState> state) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    searcher_->Add(std::move(state));
-  }
-
-  std::unique_ptr<ExecState> PopOwn() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return searcher_->Next();
-  }
-
-  // Takes up to half of this queue's pending states (capped) from the cold
-  // end, appended to `out` coldest first. One lock acquisition per batch.
-  void StealBatch(std::vector<std::unique_ptr<ExecState>>& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t size = searcher_->Size();
-    if (size == 0) {
-      return;
-    }
-    size_t take = std::min((size + 1) / 2, kMaxStealBatch);
-    searcher_->StealBatch(out, take);
-  }
-
-  // How many states are still queued (called after the workers joined).
-  uint64_t Remaining() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return searcher_->Size();
-  }
-
-  Searcher* searcher() { return searcher_.get(); }
-
- private:
-  std::mutex mutex_;
-  std::unique_ptr<Searcher> searcher_;
-  SharedCounters* shared_ = nullptr;
-};
 
 namespace {
 
@@ -130,7 +52,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
     }
     if (entry->NumArgs() != 0 && entry->NumArgs() != 2 && entry->NumArgs() != 4) {
       invalid.error = StrFormat(
-          "entry '%s' takes %u arguments; supported signatures are (), "
+          "entry '%s' takes %zu arguments; supported signatures are (), "
           "(u8* buf, i32 len), and (u8* a, i32 na, u8* b, i32 nb)",
           entry->name().c_str(), entry->NumArgs());
       return invalid;
@@ -197,8 +119,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
   if (queues_.empty()) {
     queues_.reserve(jobs);
     for (unsigned w = 0; w < jobs; ++w) {
-      queues_.push_back(std::make_unique<WorkerQueue>(
-          options_.strategy, HashMix64(options_.search_seed ^ (uint64_t{w} + 1))));
+      queues_.push_back(std::make_unique<WorkerQueue>());
     }
   }
   OVERIFY_ASSERT(queues_.size() == jobs, "worker count changed across Run()s");
@@ -252,8 +173,8 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
   queues_[0]->PushFork(engines[0]->MakeInitialState(entry));
 
   // Batch stealing: scan victims round-robin; the first queue with work
-  // yields up to half its cold end in one lock acquisition. The thief runs
-  // the coldest state immediately and queues the rest for itself.
+  // yields up to half its oldest end in one lock acquisition. The thief runs
+  // the oldest state immediately and queues the rest for itself.
   auto try_steal = [&](unsigned thief) -> std::unique_ptr<ExecState> {
     std::vector<std::unique_ptr<ExecState>> batch;
     EngineCore& thief_engine = *engines[thief];
@@ -274,8 +195,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
         }
         continue;
       }
-      const bool timed = tm.timing || tb != nullptr;
-      const uint64_t t0 = timed ? MetricsNowNs() : 0;
+      const uint64_t t0 = MetricsNowNs();
       queues_[victim]->StealBatch(batch);
       if (batch.empty()) {
         continue;
@@ -289,12 +209,10 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
         // the victim context's generation counter, so detach that.
         state->solver_prefix.interval_memo_generation = 0;
       }
-      if (timed) {
-        const uint64_t t1 = MetricsNowNs();
-        tm.Record(Hist::kStealBatchNs, t1 - t0);
-        if (tb != nullptr) {
-          tb->Span(TraceKind::kStealBatch, t0, t1, batch.size(), victim);
-        }
+      const uint64_t t1 = MetricsNowNs();
+      tm.Record(Hist::kStealBatchNs, t1 - t0);
+      if (tb != nullptr) {
+        tb->Span(TraceKind::kStealBatch, t0, t1, batch.size(), victim);
       }
       std::unique_ptr<ExecState> first = std::move(batch.front());
       for (size_t i = 1; i < batch.size(); ++i) {
@@ -344,7 +262,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-      PathOutcome outcome = engine.RunState(*state, queue, queue.searcher());
+      PathOutcome outcome = engine.RunState(*state, queue);
       if (outcome == PathOutcome::kDied) {
         // Injected worker death mid-state: the state is untouched and still
         // counted live. Requeue it on this worker's queue — survivors steal
@@ -466,8 +384,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
     result.bugs.push_back(std::move(report));
   }
 
-  // Free anything a limit stop left queued (and reset search feedback) so a
-  // reused pool starts clean; Remaining() above already tallied it.
+  // Free anything a limit stop left queued so a reused pool starts clean; Remaining() above already tallied it.
   for (const auto& queue : queues_) {
     queue->EndRun();
   }

@@ -39,7 +39,7 @@ class EngineCore::Impl {
         injector_(options.faults, worker_index),
         num_symbols_(num_input_bytes),
         worker_index_(worker_index) {
-    metrics_.timing = options_.metrics_timing;
+    metrics_.timing = true;
     // The solver writes into this worker's shard directly; installed before
     // any query so no counts land in the chain's private fallback shard.
     solver_.set_metrics(&metrics_);
@@ -74,17 +74,13 @@ class EngineCore::Impl {
     return state;
   }
 
-  PathOutcome RunState(ExecState& state, ForkSink& sink, Searcher* searcher) {
-    const bool timed = TimedEngine();
-    const uint64_t t0 = timed ? MetricsNowNs() : 0;
-    PathOutcome outcome = RunStateImpl(state, sink, searcher);
-    if (timed) {
-      const uint64_t t1 = MetricsNowNs();
-      metrics_.Record(Hist::kPathRunNs, t1 - t0);
-      if (trace_ != nullptr) {
-        trace_->Span(TraceKind::kPathRun, t0, t1, static_cast<uint64_t>(outcome),
-                     state.depth);
-      }
+  PathOutcome RunState(ExecState& state, ForkSink& sink) {
+    const uint64_t t0 = MetricsNowNs();
+    PathOutcome outcome = RunStateImpl(state, sink);
+    const uint64_t t1 = MetricsNowNs();
+    metrics_.Record(Hist::kPathRunNs, t1 - t0);
+    if (trace_ != nullptr) {
+      trace_->Span(TraceKind::kPathRun, t0, t1, static_cast<uint64_t>(outcome), state.depth);
     }
     return outcome;
   }
@@ -119,11 +115,8 @@ class EngineCore::Impl {
   FaultInjector& faults() { return injector_; }
 
  private:
-  bool TimedEngine() const { return metrics_.timing || trace_ != nullptr; }
-
-  PathOutcome RunStateImpl(ExecState& state, ForkSink& sink, Searcher* searcher) {
+  PathOutcome RunStateImpl(ExecState& state, ForkSink& sink) {
     sink_ = &sink;
-    searcher_ = searcher;
     for (;;) {
       if (++steps_since_check_ >= kLimitCheckInterval) {
         FlushInstructions();
@@ -239,13 +232,6 @@ class EngineCore::Impl {
   void CountInstructions(uint64_t n) {
     metrics_.Add(Counter::kInstructions, n);
     unflushed_instructions_ += n;
-  }
-
-  void EnterBlock(ExecState& state, BasicBlock* block) {
-    if (searcher_ != nullptr) {
-      searcher_->NotifyBlockEntered(block);
-    }
-    state.JumpTo(block);
   }
 
   // ---- Setup ----
@@ -1002,7 +988,7 @@ class EngineCore::Impl {
       case Opcode::kBr: {
         const auto* br = Cast<BranchInst>(inst);
         if (!br->IsConditional()) {
-          EnterBlock(state, br->SingleDest());
+          state.JumpTo(br->SingleDest());
           return StepOutcome::kContinue;
         }
         const Expr* cond = ResolveInt(state, br->condition());
@@ -1011,7 +997,7 @@ class EngineCore::Impl {
         if (decision != ForkDecision::kOk) {
           return ForkDeadOutcome(decision);
         }
-        EnterBlock(state, took_true ? br->true_dest() : br->false_dest());
+        state.JumpTo(took_true ? br->true_dest() : br->false_dest());
         return StepOutcome::kContinue;
       }
       case Opcode::kRet:
@@ -1104,9 +1090,6 @@ class EngineCore::Impl {
     for (unsigned i = 0; i < call->NumArgs(); ++i) {
       frame.locals[callee->Arg(i)->local_slot()] = Resolve(state, call->Arg(i));
     }
-    if (searcher_ != nullptr) {
-      searcher_->NotifyBlockEntered(frame.block);
-    }
     state.stack.push_back(std::move(frame));
     return StepOutcome::kContinue;
   }
@@ -1172,7 +1155,6 @@ class EngineCore::Impl {
   uint64_t unflushed_instructions_ = 0;
   uint64_t steps_since_check_ = 0;
   ForkSink* sink_ = nullptr;
-  Searcher* searcher_ = nullptr;
   std::unordered_map<const GlobalVariable*, uint64_t> global_objects_;
 };
 
@@ -1188,8 +1170,8 @@ std::unique_ptr<ExecState> EngineCore::MakeInitialState(Function* entry) {
   return impl_->MakeInitialState(entry);
 }
 
-PathOutcome EngineCore::RunState(ExecState& state, ForkSink& sink, Searcher* searcher) {
-  return impl_->RunState(state, sink, searcher);
+PathOutcome EngineCore::RunState(ExecState& state, ForkSink& sink) {
+  return impl_->RunState(state, sink);
 }
 
 MetricsShard& EngineCore::metrics_shard() { return impl_->metrics_shard(); }

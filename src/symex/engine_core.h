@@ -3,7 +3,8 @@
 // One EngineCore owns everything a scheduler worker needs to run paths in
 // isolation: a private ExprContext (interner + memo slots), a private
 // SolverChain (counterexample cache, model reuse), this worker's metrics
-// shard (src/support/metrics.h), and the step machinery. The only mutable
+// shard (src/support/metrics.h; engine shards always record latency
+// histograms), and the step machinery. The only mutable
 // state shared between workers is the
 // lock-free SharedCounters block, which enforces the global limits
 // cooperatively, and the worker queues (owned by the WorkerPool).
@@ -152,9 +153,8 @@ class EngineCore {
   std::unique_ptr<ExecState> MakeInitialState(Function* entry);
 
   // Runs `state` until it completes, dies, or the stop latch trips. Forked
-  // siblings go to `sink`; block entries are reported to `searcher` for
-  // coverage-guided ordering (may be null).
-  PathOutcome RunState(ExecState& state, ForkSink& sink, Searcher* searcher);
+  // siblings go to `sink`.
+  PathOutcome RunState(ExecState& state, ForkSink& sink);
 
   // This worker's slice of the metrics registry: exact per-worker counters
   // and latency histograms, written only by the worker thread that runs

@@ -5,9 +5,9 @@
 // (division by zero, out-of-bounds access, failed checks) become bug reports
 // with concrete reproducing inputs from the solver's model.
 //
-// Exploration is scheduled by the src/sched/ subsystem: a pluggable
-// Searcher orders pending states and a work-stealing WorkerPool fans them
-// out over `jobs` workers, each with its own solver and an ExprContext view
+// Exploration is scheduled by the src/sched/ subsystem: a work-stealing
+// WorkerPool runs pending states depth-first and fans them out over `jobs`
+// workers, each with its own solver and an ExprContext view
 // of one shared interner (stolen states run as-is). Results are aggregated
 // in canonical order, so bug sets and verdicts are identical for 1..N
 // workers on exhausted runs — see docs/scheduler.md.
@@ -20,7 +20,6 @@
 
 #include "src/ir/module.h"
 #include "src/passes/annotate.h"
-#include "src/sched/searcher.h"
 #include "src/support/fault.h"
 #include "src/support/metrics.h"
 #include "src/symex/solver.h"
@@ -42,6 +41,12 @@ enum class BugKind {
 };
 
 const char* BugKindName(BugKind kind);
+
+// Search order for pending states. Depth-first is the only order: order
+// changes when a path runs, never which paths exist (docs/scheduler.md).
+// The enum and SymexOptions::strategy stay so existing callers that name
+// kDfs keep compiling.
+enum class SearchStrategy { kDfs };
 
 struct BugReport {
   BugKind kind = BugKind::kEngineError;
@@ -133,12 +138,10 @@ struct SymexOptions {
   // Compiler-produced annotations; branch conditions they decide skip the
   // solver entirely (§3 "Program annotations").
   const ProgramAnnotations* annotations = nullptr;
-  // Search order for pending states (src/sched/searcher.h).
+  // Search order for pending states; kDfs is its only value (see the enum).
   SearchStrategy strategy = SearchStrategy::kDfs;
   // Worker threads exploring in parallel; 0 = one per hardware thread.
   unsigned jobs = 1;
-  // Seed for the random-path strategy (worker index is mixed in per worker).
-  uint64_t search_seed = 0x05e11a11;
   // Deterministic fault injection (src/support/fault.h). Disabled by
   // default (seed 0); tests and the robustness differential harness enable
   // it to exercise the graceful-degradation contract (docs/robustness.md).
@@ -150,12 +153,6 @@ struct SymexOptions {
   // to whole-program mode (counted in slice.fallbacks) when slicing is not
   // possible. Only honored by Analyze(); a raw SymbolicExecutor ignores it.
   bool slice_checks = false;
-  // Latency-histogram timing for engine runs (two clock reads per solver
-  // query / fork decision / path). On by default: engine queries are
-  // microseconds-scale, so the overhead is noise — and SymexResult then
-  // carries real p50/p95 latencies. Off leaves every histogram empty;
-  // counters are unaffected either way.
-  bool metrics_timing = true;
   // When non-empty, the run writes a Chrome-trace-event JSON timeline of
   // solver queries, preprocessing, fork decisions, steals, cache lookups,
   // fault firings, and worker lifecycles to this path (load it in Perfetto;

@@ -24,7 +24,7 @@ void AppendBytes(std::ostringstream& out, const std::vector<uint8_t>& bytes) {
 
 std::string LatticeCell::Name() const {
   std::ostringstream out;
-  out << OptLevelName(level) << "/j" << jobs << "/" << SearchStrategyName(strategy);
+  out << OptLevelName(level) << "/j" << jobs;
   if (slice_checks) {
     out << "/slice";
   }
@@ -34,7 +34,6 @@ std::string LatticeCell::Name() const {
 SymexOptions LatticeCell::ToOptions() const {
   SymexOptions options;
   options.jobs = jobs;
-  options.strategy = strategy;
   options.slice_checks = slice_checks;
   return options;
 }
@@ -108,15 +107,12 @@ std::vector<LatticeCell> FullLattice(const DiffOptions& options) {
   std::vector<LatticeCell> cells;
   for (OptLevel level : options.levels) {
     for (unsigned jobs : options.jobs) {
-      for (SearchStrategy strategy : options.strategies) {
-        for (bool slice : options.slicing) {
-          LatticeCell cell;
-          cell.level = level;
-          cell.jobs = jobs;
-          cell.strategy = strategy;
-          cell.slice_checks = slice;
-          cells.push_back(cell);
-        }
+      for (bool slice : options.slicing) {
+        LatticeCell cell;
+        cell.level = level;
+        cell.jobs = jobs;
+        cell.slice_checks = slice;
+        cells.push_back(cell);
       }
     }
   }
@@ -364,7 +360,6 @@ DiffReport RunRobustnessDifferential(const std::string& name, const std::string&
   for (unsigned jobs : options.jobs) {
     SymexOptions opts;
     opts.jobs = jobs;
-    opts.strategy = options.strategy;
     std::string label = "clean/j" + std::to_string(jobs);
     RunSignature signature = run_once(opts, options.limits, label, nullptr);
     if (!signature.exhausted) {
@@ -389,8 +384,7 @@ DiffReport RunRobustnessDifferential(const std::string& name, const std::string&
     for (unsigned jobs : options.jobs) {
       SymexOptions opts;
       opts.jobs = jobs;
-      opts.strategy = options.strategy;
-      opts.faults.seed = seed;
+        opts.faults.seed = seed;
       opts.faults.period = options.fault_period;
       // Keep at least one worker alive so multi-worker runs can still
       // exhaust; at one worker a death would just abandon the run.
@@ -424,7 +418,6 @@ DiffReport RunRobustnessDifferential(const std::string& name, const std::string&
     limits.max_paths = budget;
     SymexOptions opts;
     opts.jobs = 1;
-    opts.strategy = options.strategy;
     std::string label = "budget/max_paths=" + std::to_string(budget);
     RunSignature first = run_once(opts, limits, label + "/run1", nullptr);
     RunSignature second = run_once(opts, limits, label + "/run2", nullptr);

@@ -1,13 +1,12 @@
 // Differential verification harness: one workload, every configuration.
 //
-// The engine's scheduler axes (worker count, searcher strategy) and
-// per-check slicing each claim "identical results either way" on top of
-// the optimization-level axis the paper studies. This harness is the
-// single oracle that enforces the claim at suite scale instead of
-// scattered per-feature equivalence tests. It runs a program through the
-// full configuration lattice
+// The engine's scheduler axis (worker count) and per-check slicing each
+// claim "identical results either way" on top of the optimization-level
+// axis the paper studies. This harness is the single oracle that enforces
+// the claim at suite scale instead of scattered per-feature equivalence
+// tests. It runs a program through the full configuration lattice
 //
-//   {-O0, -OVERIFY, -O3} x {1, 4 workers} x {dfs, coverage-guided}
+//   {-O0, -OVERIFY, -O3} x {1, 4 workers}
 //
 // and asserts a canonical RunSignature per cell:
 //
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "src/driver/compiler.h"
-#include "src/sched/searcher.h"
 #include "src/symex/executor.h"
 #include "src/workloads/workloads.h"
 
@@ -45,7 +43,6 @@ namespace difftest {
 struct LatticeCell {
   OptLevel level = OptLevel::kOverify;
   unsigned jobs = 1;
-  SearchStrategy strategy = SearchStrategy::kDfs;
   // Per-check slice verification (docs/slicing.md). Slice-mode path/fork
   // counts are per-slice sums, so slice cells form their own bit-identical
   // reference group within a level; the cross-level semantic comparison
@@ -53,7 +50,7 @@ struct LatticeCell {
   // cells.
   bool slice_checks = false;
 
-  // "O3/j4/dfs" — stable, greppable cell id; slice-mode cells append
+  // "-O3/j4" — stable, greppable cell id; slice-mode cells append
   // "/slice".
   std::string Name() const;
   SymexOptions ToOptions() const;
@@ -131,12 +128,10 @@ RunSignature SignatureOf(const SymexResult& result, Module& module, const std::s
 struct DiffOptions {
   std::vector<OptLevel> levels = {OptLevel::kO0, OptLevel::kOverify, OptLevel::kO3};
   std::vector<unsigned> jobs = {1, 4};
-  std::vector<SearchStrategy> strategies = {SearchStrategy::kDfs,
-                                            SearchStrategy::kCoverageGuided};
   // Slice-mode axis (docs/slicing.md). Default spans whole-program only so
   // the base lattice's cost is unchanged; slicing suites set {false, true}
   // to assert slice-vs-whole verdict equivalence on top of the scheduler
-  // axes.
+  // axis.
   std::vector<bool> slicing = {false};
   std::string entry = "umain";
   SymexLimits limits;  // callers size this so every cell exhausts
@@ -210,7 +205,6 @@ struct RobustnessOptions {
   std::string entry = "umain";
   SymexLimits limits;  // sized so the clean run exhausts
   OptLevel level = OptLevel::kOverify;
-  SearchStrategy strategy = SearchStrategy::kDfs;
 };
 
 DiffReport RunRobustnessDifferential(const std::string& name, const std::string& source,

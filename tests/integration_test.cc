@@ -357,6 +357,20 @@ TEST(DriverErrorTest, ZeroWidthSymbolicBufferReturnsError) {
   EXPECT_NE(result.error.find("zero-width"), std::string::npos) << result.error;
 }
 
+// The argument count is a size_t; the message formats it with %zu.
+TEST(DriverErrorTest, UnsupportedEntrySignatureReturnsError) {
+  CompileResult compiled = CompileLevel(R"(
+    int umain(unsigned char *in, int n, int k) {
+      return (int)in[0] + n + k;
+    }
+  )", OptLevel::kOverify);
+  ASSERT_TRUE(compiled.ok);
+  SymexLimits limits;
+  SymexResult result = Analyze(compiled, "umain", 4, limits);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("takes 3 arguments"), std::string::npos) << result.error;
+}
+
 TEST(DriverErrorTest, FourArgEntryNeedsRoomForTheSizeSplit) {
   CompileResult compiled = CompileLevel(R"(
     int umain(unsigned char *a, int n, unsigned char *b, int m) {

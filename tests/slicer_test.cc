@@ -335,6 +335,43 @@ TEST(SlicerTest, SlicesVerifyAndShrink) {
   }
 }
 
+// Regression: to_original used to keep the clones the slicer erased, and
+// building it dereferenced them (heap-use-after-free under ASan). Every key
+// must be an instruction of a live slice function; the pointer is checked
+// against the live set before it is dereferenced.
+TEST(SlicerTest, ToOriginalKeysAreLiveSliceInstructions) {
+  const Workload* wc = FindWorkload("wc");
+  ASSERT_NE(wc, nullptr);
+  const std::string div_bug = R"(
+    int umain(unsigned char *in, int n) {
+      int d = in[0] - 'a';
+      if (in[1] == 'q') { return in[2] / d; }   /* d == 0 when in[0] == 'a' */
+      return 0;
+    }
+  )";
+  for (const std::string* source : {&div_bug, &wc->source}) {
+    for (OptLevel level : {OptLevel::kO0, OptLevel::kOverify, OptLevel::kO3}) {
+      SlicedProgram p = SliceProgram(*source, level);
+      ASSERT_TRUE(p.slices.ok) << p.slices.error;
+      Function* entry = p.compiled.module->GetFunction("umain");
+      std::set<const Instruction*> live;
+      for (const Slice& slice : p.slices.slices) {
+        for (BasicBlock& block : *slice.fn) {
+          for (const auto& inst : block) {
+            live.insert(inst.get());
+          }
+        }
+      }
+      ASSERT_FALSE(p.slices.to_original.empty());
+      for (const auto& [clone, orig] : p.slices.to_original) {
+        ASSERT_EQ(live.count(clone), 1u) << "to_original keeps an erased clone";
+        EXPECT_EQ(clone->opcode(), orig->opcode());
+        EXPECT_EQ(orig->parent()->parent(), entry);
+      }
+    }
+  }
+}
+
 // Distinct (kind, confirmed) verdict set of an Analyze run, the semantic
 // the slicing differential pins: `confirmed` means the bug's model input
 // reproduces a trap on the full-program concrete interpreter.

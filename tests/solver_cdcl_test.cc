@@ -270,7 +270,6 @@ TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1, 4};
-  options.strategies = {SearchStrategy::kDfs};
   options.limits.max_seconds = 60;
   difftest::DiffReport report = difftest::RunDifferential("cdcl_workers", R"(
     int umain(unsigned char *in, int n) {
@@ -301,7 +300,6 @@ TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1};
-  options.strategies = {SearchStrategy::kDfs};
   options.limits.max_paths = 400000;
   options.limits.max_seconds = 300;  // wall ceiling; Release exhausts far under
   difftest::DiffReport report = difftest::RunDifferential(*workload, /*sym_bytes=*/0, options);
