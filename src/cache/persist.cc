@@ -219,6 +219,9 @@ std::vector<uint8_t> CacheStore::Serialize() const {
     payload.U64(blob.options_fp);
     payload.U64(blob.last_used);
     payload.Str(blob.run_signature);
+    payload.U32(blob.sym_bytes);
+    payload.U64(blob.max_paths);
+    payload.U64(blob.max_seconds_ms);
     payload.U64(blob.entries.size());
     for (const PersistedEntry& entry : blob.entries) {
       WriteEntry(payload, entry);
@@ -275,6 +278,9 @@ bool CacheStore::Deserialize(const std::vector<uint8_t>& bytes) {
     blob.options_fp = body.U64();
     blob.last_used = body.U64();
     blob.run_signature = body.Str();
+    blob.sym_bytes = body.U32();
+    blob.max_paths = body.U64();
+    blob.max_seconds_ms = body.U64();
     const uint64_t num_entries = body.U64();
     if (num_entries > payload_size) {
       load_error_ = "corrupt entry count";

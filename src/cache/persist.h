@@ -37,7 +37,8 @@ struct SymexOptions;
 // Bump on ANY change to the serialized layout *or* to the definition of the
 // portable content hash (src/symex/expr_hash.cc) — stores written under a
 // different definition must be rejected wholesale, not reinterpreted.
-constexpr uint32_t kCacheStoreVersion = 1;
+// v2: run blobs record the width and limits behind their run signature.
+constexpr uint32_t kCacheStoreVersion = 2;
 
 // "OVFYCACH" little-endian.
 constexpr uint64_t kCacheStoreMagic = 0x484341435946564Full;
@@ -62,6 +63,13 @@ struct RunBlob {
   // daemon returns it for run-level hits, and the warm/cold differential
   // compares it bit-for-bit against a cold in-process run.
   std::string run_signature;
+  // The resolved input width and limits of the run behind run_signature: a
+  // memoized signature answers only a request with the same values. The
+  // solver entries carry no such key — each is a pure function of its
+  // constraint set, so runs at any width share them.
+  uint32_t sym_bytes = 0;
+  uint64_t max_paths = 0;
+  uint64_t max_seconds_ms = 0;
   std::vector<PersistedEntry> entries;
   uint64_t last_used = 0;  // logical LRU tick, maintained by CacheStore
 };

@@ -85,10 +85,18 @@ std::vector<uint8_t> DaemonServer::HandleAnalyze(const std::vector<uint8_t>& req
   const uint64_t module_hash = ModuleContentHash(*compiled.module);
   const uint64_t options_fp = OptionsFingerprint(fp_opts);
 
+  // The blob's signature answers only the width and limits that produced
+  // it; another width or limit executes (seeded from the blob's solver
+  // entries, which every width shares) and re-memoizes.
+  auto memoized_for_this_request = [&](const RunBlob& blob) {
+    return !blob.run_signature.empty() && blob.sym_bytes == sym_bytes &&
+           blob.max_paths == req.max_paths && blob.max_seconds_ms == req.max_seconds_ms;
+  };
+
   AnalyzeReply reply;
   if (req.force_run == 0) {
     if (RunBlob* blob = store_.FindRun(module_hash, options_fp)) {
-      if (!blob->run_signature.empty()) {
+      if (memoized_for_this_request(*blob)) {
         metrics_.Inc(Counter::kDaemonRunHits);
         reply.ok = true;
         reply.run_hit = true;
@@ -115,6 +123,9 @@ std::vector<uint8_t> DaemonServer::HandleAnalyze(const std::vector<uint8_t>& req
     blob = &store_.PutRun(module_hash, options_fp);
   }
   blob->run_signature = signature.ToString();
+  blob->sym_bytes = sym_bytes;
+  blob->max_paths = req.max_paths;
+  blob->max_seconds_ms = req.max_seconds_ms;
 
   reply.ok = true;
   reply.signature = blob->run_signature;

@@ -1,5 +1,7 @@
 #include "src/symex/engine_core.h"
 
+#include <string_view>
+
 #include "src/ir/constant.h"
 #include "src/support/string_utils.h"
 #include "src/support/trace.h"
@@ -173,6 +175,27 @@ class EngineCore::Impl {
   // Guard/access outcomes: the state either survives or dies for a cause.
   enum class GuardResult { kOk, kDiedBug, kDiedInfeasible, kDiedUnknown };
 
+  // The bug kind a failed compiler-inserted check reports. Compiler checks
+  // unify "various failures into run-time crashes" (Table 2); the report
+  // keeps the underlying kind so bug identity is stable across optimization
+  // levels.
+  static BugKind CheckBugKind(CheckKind kind) {
+    switch (kind) {
+      case CheckKind::kDivByZero:
+        return BugKind::kDivByZero;
+      case CheckKind::kBounds:
+        return BugKind::kOutOfBounds;
+      case CheckKind::kNullDeref:
+        return BugKind::kNullDeref;
+      case CheckKind::kOverflow:
+      case CheckKind::kShift:
+        return BugKind::kOverflow;
+      case CheckKind::kAssert:
+        return BugKind::kCheckFailed;
+    }
+    OVERIFY_UNREACHABLE("unknown check kind");
+  }
+
   static StepOutcome DeadOutcome(GuardResult result) {
     switch (result) {
       case GuardResult::kDiedBug:
@@ -299,7 +322,14 @@ class EngineCore::Impl {
   // deadline, or injected unknown) is dropped entirely rather than filed
   // without an example input — every surviving report stays replayable, and
   // the caller degrades the path to unknown instead (docs/robustness.md).
-  bool ReportBug(ExecState& state, const Instruction* site, BugKind kind, std::string message) {
+  //
+  // `message` is a callable returning the report's text, invoked only when
+  // this candidate is filed: most guard sites never fire, and a site already
+  // reported from a smaller path_id formats nothing. The text is part of run
+  // signatures and persisted run memos, so it must stay byte-stable.
+  template <typename MessageFn>
+  bool ReportBug(ExecState& state, const Instruction* site, BugKind kind,
+                 const MessageFn& message) {
     auto key = std::make_pair(site, kind);
     auto it = bugs_.find(key);
     if (it != bugs_.end() && it->second.path_id <= state.path_id) {
@@ -316,13 +346,17 @@ class EngineCore::Impl {
     }
     BugCandidate bug;
     bug.kind = kind;
-    bug.message = std::move(message);
+    bug.message = message();
     bug.site = site;
     bug.path_id = state.path_id;
     model.resize(num_symbols_, 0);
     bug.example_input = std::move(model);
     bugs_[key] = std::move(bug);
     return true;
+  }
+
+  bool ReportBug(ExecState& state, const Instruction* site, BugKind kind, const char* message) {
+    return ReportBug(state, site, kind, [message] { return std::string(message); });
   }
 
   // ---- Value resolution ----
@@ -503,8 +537,12 @@ class EngineCore::Impl {
   // be decided, the state dies unknown instead of silently skipping a
   // possible bug, and a bug whose witness was dropped likewise degrades to
   // unknown rather than surviving as an unreplayable report.
+  //
+  // `message` is a literal or a callable as for ReportBug; a guard whose
+  // condition folds to false returns before any text exists.
+  template <typename Message>
   GuardResult GuardAgainst(ExecState& state, const Expr* bad, const Instruction* site,
-                           BugKind kind, const std::string& message) {
+                           BugKind kind, const Message& message) {
     if (bad->IsFalse()) {
       return GuardResult::kOk;
     }
@@ -591,29 +629,35 @@ class EngineCore::Impl {
                  ? GuardResult::kDiedBug
                  : GuardResult::kDiedUnknown;
     }
-    if (!state.memory.Exists(ptr.object_id)) {
+    const MemoryObject* meta = state.memory.Find(ptr.object_id);
+    if (meta == nullptr) {
       return ReportBug(state, site, BugKind::kOutOfBounds,
                        "use of a dead object (escaped stack address)")
                  ? GuardResult::kDiedBug
                  : GuardResult::kDiedUnknown;
     }
-    const MemoryObject& meta = state.memory.Meta(ptr.object_id);
-    if (meta.size < width_bytes) {
+    // Copied out of the object table, so the messages below hold no
+    // pointer into it.
+    const uint64_t size = meta->size;
+    const std::string_view name = meta->name;
+    if (size < width_bytes) {
       return ReportBug(state, site, BugKind::kOutOfBounds,
-                       StrFormat("%llu-byte access to %llu-byte object '%s'",
-                                 static_cast<unsigned long long>(width_bytes),
-                                 static_cast<unsigned long long>(meta.size),
-                                 meta.name.c_str()))
+                       [=] {
+                         return StrFormat("%llu-byte access to %llu-byte object '%.*s'",
+                                          static_cast<unsigned long long>(width_bytes),
+                                          static_cast<unsigned long long>(size),
+                                          static_cast<int>(name.size()), name.data());
+                       })
                  ? GuardResult::kDiedBug
                  : GuardResult::kDiedUnknown;
     }
     // In-bounds: offset <= size - width.
     const Expr* in_bounds =
-        ctx_.Compare(ICmpPredicate::kULE, ptr.offset,
-                     ctx_.Constant(meta.size - width_bytes, 64));
-    return GuardAgainst(state, ctx_.Not(in_bounds), site, BugKind::kOutOfBounds,
-                        StrFormat("access beyond object '%s' (%llu bytes)", meta.name.c_str(),
-                                  static_cast<unsigned long long>(meta.size)));
+        ctx_.Compare(ICmpPredicate::kULE, ptr.offset, ctx_.Constant(size - width_bytes, 64));
+    return GuardAgainst(state, ctx_.Not(in_bounds), site, BugKind::kOutOfBounds, [=] {
+      return StrFormat("access beyond object '%.*s' (%llu bytes)", static_cast<int>(name.size()),
+                       name.data(), static_cast<unsigned long long>(size));
+    });
   }
 
   // The offset's feasible window, bounded by interval analysis over the
@@ -639,9 +683,10 @@ class EngineCore::Impl {
                          bool* engine_error) {
     const ObjectState& object = state.memory.Read(ptr.object_id);
     uint64_t size = object.size();
+    std::vector<const Expr*>& bytes = byte_scratch_;
     if (ptr.offset->IsConstant()) {
       uint64_t base = ptr.offset->constant_value();
-      std::vector<const Expr*> bytes;
+      bytes.clear();
       for (uint64_t i = 0; i < width_bytes; ++i) {
         bytes.push_back(object.Byte(base + i));
       }
@@ -653,7 +698,6 @@ class EngineCore::Impl {
     }
     // Select chain over the feasible positions only.
     auto [first, last] = OffsetWindow(ptr.offset, size - width_bytes);
-    std::vector<const Expr*> bytes;
     const Expr* result = nullptr;
     for (uint64_t k = first; k <= last; ++k) {
       bytes.clear();
@@ -709,9 +753,9 @@ class EngineCore::Impl {
     switch (inst->opcode()) {
       case Opcode::kAlloca: {
         const auto* alloca = Cast<AllocaInst>(inst);
-        uint64_t id = state.memory.Allocate(ctx_, alloca->allocated_type()->SizeInBytes(),
-                                            false, true,
-                                            alloca->HasName() ? alloca->name() : "alloca");
+        uint64_t id = state.memory.Allocate(
+            ctx_, alloca->allocated_type()->SizeInBytes(), false, true,
+            alloca->HasName() ? std::string_view(alloca->name()) : std::string_view("alloca"));
         state.Frame().alloca_objects.push_back(id);
         state.SetLocal(inst, RuntimeValue::Pointer(SymPointer{id, ctx_.Constant(0, 64)}));
         state.AdvancePC();
@@ -929,7 +973,8 @@ class EngineCore::Impl {
         // Resolve all phis of the block atomically against prev_block.
         BasicBlock* from = state.Frame().prev_block;
         OVERIFY_ASSERT(from != nullptr, "phi in entry block");
-        std::vector<std::pair<Instruction*, RuntimeValue>> values;
+        std::vector<std::pair<Instruction*, RuntimeValue>>& values = phi_scratch_;
+        values.clear();
         BasicBlock* block = state.Frame().block;
         for (auto& phi_inst : *block) {
           auto* phi = DynCast<PhiInst>(phi_inst.get());
@@ -951,32 +996,11 @@ class EngineCore::Impl {
       case Opcode::kCheck: {
         const auto* check = Cast<CheckInst>(inst);
         const Expr* cond = ResolveInt(state, check->condition());
-        // Compiler-inserted checks unify "various failures into run-time
-        // crashes" (Table 2); the report keeps the underlying kind so bug
-        // identity is stable across optimization levels.
-        BugKind kind;
-        switch (check->check_kind()) {
-          case CheckKind::kDivByZero:
-            kind = BugKind::kDivByZero;
-            break;
-          case CheckKind::kBounds:
-            kind = BugKind::kOutOfBounds;
-            break;
-          case CheckKind::kNullDeref:
-            kind = BugKind::kNullDeref;
-            break;
-          case CheckKind::kOverflow:
-          case CheckKind::kShift:
-            kind = BugKind::kOverflow;
-            break;
-          case CheckKind::kAssert:
-            kind = BugKind::kCheckFailed;
-            break;
-        }
-        GuardResult guard =
-            GuardAgainst(state, ctx_.Not(cond), inst, kind,
-                         StrFormat("%s: %s", CheckKindName(check->check_kind()),
-                                   check->message().c_str()));
+        GuardResult guard = GuardAgainst(
+            state, ctx_.Not(cond), inst, CheckBugKind(check->check_kind()), [check] {
+              return StrFormat("%s: %s", CheckKindName(check->check_kind()),
+                               check->message().c_str());
+            });
         if (guard != GuardResult::kOk) {
           return DeadOutcome(guard);
         }
@@ -1113,9 +1137,9 @@ class EngineCore::Impl {
     if (name == "abort") {
       return BugOutcome(ReportBug(state, call, BugKind::kAbort, "abort() called"));
     }
-    return BugOutcome(ReportBug(
-        state, call, BugKind::kEngineError,
-        StrFormat("call to unmodeled external function '%s'", name.c_str())));
+    return BugOutcome(ReportBug(state, call, BugKind::kEngineError, [&name] {
+      return StrFormat("call to unmodeled external function '%s'", name.c_str());
+    }));
   }
 
   StepOutcome ExecRet(ExecState& state, const RetInst* ret) {
@@ -1155,6 +1179,9 @@ class EngineCore::Impl {
   uint64_t unflushed_instructions_ = 0;
   uint64_t steps_since_check_ = 0;
   ForkSink* sink_ = nullptr;
+  // Per-step scratch, reused so reads and phis allocate nothing.
+  std::vector<const Expr*> byte_scratch_;
+  std::vector<std::pair<Instruction*, RuntimeValue>> phi_scratch_;
   std::unordered_map<const GlobalVariable*, uint64_t> global_objects_;
 };
 

@@ -213,6 +213,7 @@ ExprContext::ExprContext(ExprInterner* shared) {
     // comment. 8192 slots cover the workloads' hot DAGs comfortably.
     intern_cache_.assign(8192, nullptr);
   }
+  constants_.assign(size_t{1} << kConstantSlotBits, nullptr);
   true_ = Constant(1, 1);
   false_ = Constant(0, 1);
 }
@@ -248,7 +249,17 @@ const Expr* ExprContext::Constant(uint64_t value, unsigned width) {
   key.kind = ExprKind::kConstant;
   key.width = width;
   key.constant = TruncateToWidth(value, width);
-  return Intern(key);
+  // One multiply spreads (value, width) over the slots: small literals of
+  // every width land apart.
+  const uint64_t mixed = (key.constant ^ (uint64_t{width} << 56)) * 0x9e3779b97f4a7c15ULL;
+  const size_t slot = static_cast<size_t>(mixed >> (64 - kConstantSlotBits));
+  const Expr* cached = constants_[slot];
+  if (cached != nullptr && cached->constant_ == key.constant && cached->width_ == width) {
+    return cached;
+  }
+  const Expr* e = Intern(key);
+  constants_[slot] = e;
+  return e;
 }
 
 const Expr* ExprContext::Symbol(unsigned index) {

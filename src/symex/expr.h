@@ -482,6 +482,13 @@ class ExprContext {
   // whose lock-free flat table needs no shortcut. Never stale: interners
   // never delete nodes.
   std::vector<const Expr*> intern_cache_;
+  // Direct-mapped table of constant nodes keyed by (width, truncated
+  // value): the engine re-reads the same small literals on nearly every
+  // instruction, and a hit skips hashing, the intern cache and the shard
+  // lock. Slots hold the node Intern returned, so identity is unchanged;
+  // a collision just overwrites the slot.
+  static constexpr unsigned kConstantSlotBits = 10;
+  std::vector<const Expr*> constants_;
   // True when this context must not touch the Exprs' inline memo slots
   // (the interner — and therefore the nodes — is shared with other
   // workers); memoization then uses the id-indexed tables below.

@@ -191,6 +191,47 @@ TEST_F(DaemonEndToEnd, WarmRepeatIsRunHitWithIdenticalSignature) {
   EXPECT_GE(stats.store_entries, 1u);
 }
 
+// A memoized signature answers only the width and limits that produced it:
+// wc explores 3 paths at 2 bytes but 7 at 6, so a request at 6 after one at
+// 2 must execute, and only a repeat at 6 may hit.
+TEST_F(DaemonEndToEnd, RunHitRequiresTheSameWidthAndLimits) {
+  std::remove(StorePath().c_str());
+  StartServer(StorePath());
+  Client client;
+  ASSERT_TRUE(ConnectWithRetry(client)) << client.error();
+
+  AnalyzeRequest request;
+  request.workload = "wc";
+  request.sym_bytes = 2;
+  AnalyzeReply narrow;
+  ASSERT_TRUE(client.Analyze(request, narrow)) << client.error();
+  ASSERT_TRUE(narrow.ok) << narrow.error;
+  EXPECT_FALSE(narrow.run_hit);
+  EXPECT_EQ(narrow.paths, 3u);
+
+  request.sym_bytes = 6;
+  AnalyzeReply wide;
+  ASSERT_TRUE(client.Analyze(request, wide)) << client.error();
+  ASSERT_TRUE(wide.ok) << wide.error;
+  EXPECT_FALSE(wide.run_hit) << "a 2-byte signature must not answer a 6-byte request";
+  EXPECT_EQ(wide.paths, 7u);
+  EXPECT_NE(wide.signature, narrow.signature);
+
+  AnalyzeReply repeat;
+  ASSERT_TRUE(client.Analyze(request, repeat)) << client.error();
+  ASSERT_TRUE(repeat.ok) << repeat.error;
+  EXPECT_TRUE(repeat.run_hit);
+  EXPECT_EQ(repeat.signature, wide.signature);
+
+  // A different path limit is a different run too.
+  request.max_paths = 5;
+  AnalyzeReply capped;
+  ASSERT_TRUE(client.Analyze(request, capped)) << client.error();
+  ASSERT_TRUE(capped.ok) << capped.error;
+  EXPECT_FALSE(capped.run_hit);
+  EXPECT_FALSE(capped.exhausted);
+}
+
 TEST_F(DaemonEndToEnd, ErrorsComeBackAsProtocolErrors) {
   StartServer(/*store_path=*/"");
   Client client;

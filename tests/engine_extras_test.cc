@@ -2,6 +2,9 @@
 // limits, the memory model's copy-on-write discipline, and output capture.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/frontend/codegen.h"
 #include "src/symex/executor.h"
 #include "src/symex/memory.h"
@@ -155,6 +158,51 @@ TEST(DeadStackObjectTest, EscapedFrameAddressIsReportedOnUse) {
   SymexLimits limits;
   SymexResult result = SymbolicExecutor(*m).Run("umain", 1, limits);
   EXPECT_TRUE(result.FoundBug(BugKind::kOutOfBounds));
+}
+
+// Bug messages are formatted only when a report is filed. Their text is
+// part of run signatures and persisted run memos, so it must not change.
+TEST(BugMessageTest, ReportTextsAreStable) {
+  auto m = CompileOrDie(R"(
+    int umain(unsigned char *in, int n) {
+      unsigned char buf[4];
+      buf[0] = 1; buf[1] = 2; buf[2] = 3; buf[3] = 4;
+      if (in[0] == 'o') { return buf[in[1]]; }
+      if (in[0] == 'c') { __check(in[1] != 'x', "no x after c"); }
+      if (in[0] == 'd') { return 100 / in[1]; }
+      return 0;
+    }
+  )");
+  SymexLimits limits;
+  SymexResult result = SymbolicExecutor(*m).Run("umain", 2, limits);
+  EXPECT_TRUE(result.exhausted);
+  std::map<BugKind, std::string> messages;
+  for (const BugReport& bug : result.bugs) {
+    messages[bug.kind] = bug.message;
+  }
+  EXPECT_EQ(messages.size(), 3u);
+  EXPECT_EQ(messages[BugKind::kOutOfBounds], "access beyond object 'buf' (4 bytes)");
+  EXPECT_EQ(messages[BugKind::kCheckFailed], "assert: no x after c");
+  EXPECT_EQ(messages[BugKind::kDivByZero], "division by zero");
+}
+
+TEST(BugMessageTest, DeadObjectReportTextIsStable) {
+  auto m = CompileOrDie(R"(
+    unsigned char *saved;
+    void leak(void) {
+      unsigned char local[2];
+      local[0] = 5;
+      saved = local;
+    }
+    int umain(unsigned char *in, int n) {
+      leak();
+      return *saved;
+    }
+  )");
+  SymexLimits limits;
+  SymexResult result = SymbolicExecutor(*m).Run("umain", 1, limits);
+  ASSERT_EQ(result.bugs.size(), 1u);
+  EXPECT_EQ(result.bugs[0].message, "use of a dead object (escaped stack address)");
 }
 
 // ---- SupportSet overflow: symbol indices >= 64 leave the one-word bitmask

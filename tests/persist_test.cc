@@ -353,6 +353,9 @@ class CacheStoreTest : public ::testing::Test {
     CacheStore store;
     RunBlob& blob = store.PutRun(/*module_hash=*/111, /*options_fp=*/222);
     blob.run_signature = "exhausted paths=7 sig=abc";
+    blob.sym_bytes = 6;
+    blob.max_paths = 100000;
+    blob.max_seconds_ms = 10000;
     PersistedEntry entry;
     entry.keys = {5, 9};
     entry.set_hash = 14;
@@ -384,6 +387,9 @@ TEST_F(CacheStoreTest, ByteRoundTripIsExact) {
   RunBlob* blob = loaded.FindRun(111, 222);
   ASSERT_NE(blob, nullptr);
   EXPECT_EQ(blob->run_signature, "exhausted paths=7 sig=abc");
+  EXPECT_EQ(blob->sym_bytes, 6u);
+  EXPECT_EQ(blob->max_paths, 100000u);
+  EXPECT_EQ(blob->max_seconds_ms, 10000u);
   ASSERT_EQ(blob->entries.size(), 2u);
   EXPECT_EQ(blob->entries[0].keys, (std::vector<uint64_t>{5, 9}));
   EXPECT_EQ(blob->entries[1].model, (std::vector<uint8_t>{5, 0}));

@@ -19,6 +19,43 @@ TEST(ExprTest, ConstantsInterned) {
   EXPECT_TRUE(ctx.False()->IsFalse());
 }
 
+// The context's constant-node table must hand out exactly the node the
+// interner holds for (width, truncated value), so hash-consing identity is
+// unchanged whether a literal comes from the table or from a fresh intern.
+TEST(ExprTest, ConstantTableReturnsTheInternedNode) {
+  for (bool shared : {false, true}) {
+    ExprInterner concurrent(/*concurrent=*/true);
+    ExprContext ctx(shared ? &concurrent : nullptr);
+    auto interned = [&](uint64_t value, unsigned width) {
+      ExprInterner::Key key;
+      key.kind = ExprKind::kConstant;
+      key.width = width;
+      key.constant = TruncateToWidth(value, width);
+      return ctx.interner().Intern(key);
+    };
+    for (unsigned width : {1u, 8u, 16u, 32u, 64u}) {
+      for (uint64_t value : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{255}, uint64_t{256},
+                             uint64_t{0xdeadbeef}, ~uint64_t{0}}) {
+        const Expr* first = ctx.Constant(value, width);
+        EXPECT_EQ(first, interned(value, width)) << value << "/" << width;
+        EXPECT_EQ(ctx.Constant(value, width), first) << value << "/" << width;
+        EXPECT_EQ(first->width(), width);
+        EXPECT_EQ(first->constant_value(), TruncateToWidth(value, width));
+      }
+    }
+    EXPECT_EQ(ctx.Constant(256, 8), ctx.Constant(0, 8));
+    EXPECT_EQ(ctx.Constant(2, 1), ctx.False());
+    EXPECT_EQ(ctx.Constant(3, 1), ctx.True());
+    EXPECT_EQ(ctx.Constant(~uint64_t{0}, 64)->constant_value(), ~uint64_t{0});
+    EXPECT_NE(ctx.Constant(1, 1), ctx.Constant(1, 64));
+    // Enough distinct literals to collide in the table: every lookup still
+    // returns the interned node.
+    for (uint64_t value = 0; value < 5000; ++value) {
+      EXPECT_EQ(ctx.Constant(value, 32), interned(value, 32));
+    }
+  }
+}
+
 TEST(ExprTest, SymbolsHaveSupport) {
   ExprContext ctx;
   const Expr* s0 = ctx.Symbol(0);
